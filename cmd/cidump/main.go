@@ -180,11 +180,10 @@ func runInterleave(cf *cliflags.Flags, m *ir.Module, entry string, interval int6
 func runSanitize(m *ir.Module, probeInterval, allowable int64) {
 	failed := false
 	for _, d := range instrument.Designs {
-		_, err := sanitize.CompileChecked(m, core.Config{
-			Design:           d,
-			ProbeIntervalIR:  probeInterval,
-			AllowableErrorIR: allowable,
-		}, sanitize.Options{Exec: true, AllowInconclusive: true})
+		_, err := sanitize.CompileChecked(m, sanitize.Options{Exec: true, AllowInconclusive: true},
+			core.WithDesign(d),
+			core.WithProbeInterval(probeInterval),
+			core.WithAllowableError(allowable))
 		switch {
 		case err == nil:
 			fmt.Printf("%-14s ok (stage checks + differential oracle)\n", d)

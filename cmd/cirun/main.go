@@ -111,10 +111,12 @@ func main() {
 		core.WithTier(tier),
 		core.WithObs(cf.Scope()),
 	}
+	var prog *core.Program
 	if cf.Sanitize {
-		opts = append(opts, sanitize.Checked(sanitize.Options{Exec: true, AllowInconclusive: true}))
+		prog, err = sanitize.CompileChecked(mod, sanitize.Options{Exec: true, AllowInconclusive: true}, opts...)
+	} else {
+		prog, err = core.Compile(mod, opts...)
 	}
-	prog, err := core.Compile(mod, opts...)
 	if err != nil {
 		fail("%v", err)
 	}

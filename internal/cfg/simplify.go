@@ -136,19 +136,3 @@ func mergeLatches(f *ir.Func, g *Graph, l *Loop) bool {
 	f.Reindex()
 	return true
 }
-
-// Canonicalize applies the full §3.1 pre-processing: return
-// unification, then loop-simplify and critical-edge splitting iterated
-// to a fixpoint. Returns true if the function changed.
-func Canonicalize(f *ir.Func) bool {
-	changed := UnifyReturns(f)
-	for i := 0; i < 8; i++ {
-		c1 := LoopSimplify(f)
-		c2 := SplitCriticalEdges(f)
-		if !c1 && !c2 {
-			break
-		}
-		changed = changed || c1 || c2
-	}
-	return changed
-}

@@ -6,7 +6,8 @@ import "repro/internal/ir"
 // TermRet block instead moves its value into a shared register and
 // jumps to a fresh unified exit. Single-entry single-exit functions are
 // what the container rules of the CI analysis reduce completely, so
-// this runs as part of Canonicalize. Returns true if f changed.
+// this runs first in the analysis's canonicalization. Returns true if
+// f changed.
 func UnifyReturns(f *ir.Func) bool {
 	var rets []*ir.Block
 	for _, b := range f.Blocks {

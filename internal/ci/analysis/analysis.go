@@ -267,13 +267,6 @@ func newAnalyzer(f *ir.Func, opts *Options, costs CostTable) *analyzer {
 	return a
 }
 
-// rebuild refreshes CFG-derived state after a loop rewrite.
-func (a *analyzer) rebuild() {
-	a.f.Reindex()
-	a.g = cfg.New(a.f)
-	a.ri = cfg.AnalyzeRegs(a.f)
-}
-
 // instrCost returns the static cost contribution of one instruction and
 // whether a probe barrier must follow it (extcall or a call whose cost
 // the counter cannot otherwise account for).

@@ -39,14 +39,15 @@ func (Fixed) Reset(int64) {}
 func (Fixed) Observe(_, cur int64) (int64, bool) { return cur, false }
 
 // AIMD is the additive-increase/multiplicative-decrease controller
-// that SetAdaptive historically hardwired: every overrun (a gap past
+// the runtime historically hardwired: every overrun (a gap past
 // OverrunFactor × the current interval) doubles the interval up to
 // MaxBackoffMult × base, and TightenAfter consecutive on-time fires
-// shrink it additively (base/8 per step) back toward base. Zero
-// fields take the documented defaults; a positive OverrunFactor ≤ 1
-// is honored (mtcp's strict "cost > interval" classification is
-// factor 1), unlike the AdaptiveConfig bridge which maps ≤ 1 to 2
-// for backward compatibility.
+// shrink it additively (base/8 per step) back toward base. Backing
+// the polling rate off a thread that cannot keep up trades polling
+// frequency for forward progress instead of letting the handler
+// consume the whole thread. Zero fields take the documented defaults;
+// a positive OverrunFactor ≤ 1 is honored (mtcp's strict "cost >
+// interval" classification is factor 1).
 type AIMD struct {
 	// OverrunFactor classifies a fire as an overrun when its gap
 	// exceeds factor × the current interval (default 2).
@@ -70,7 +71,7 @@ func (p *AIMD) Reset(base int64) {
 
 // Observe implements QuantumPolicy. The arithmetic is a field-for-field
 // port of the pre-policy handlerState.adapt, so interval trajectories
-// are bit-identical to the historical SetAdaptive implementation.
+// are bit-identical to the historical hardwired implementation.
 func (p *AIMD) Observe(gap, cur int64) (int64, bool) {
 	factor := p.OverrunFactor
 	if factor <= 0 {

@@ -6,29 +6,36 @@ import (
 	"repro/internal/sim"
 )
 
+// legacyConfig holds the hardwired AIMD parameters of the
+// pre-QuantumPolicy runtime, with defaults already applied.
+type legacyConfig struct {
+	overrunFactor  float64
+	maxBackoffMult int64
+	tightenAfter   int64
+}
+
 // legacyAdaptive is a verbatim port of the pre-QuantumPolicy
-// handlerState.adapt arithmetic (the hardwired AIMD fields this PR
-// replaced). The trajectory table test below proves the AIMD policy —
-// and therefore the deprecated SetAdaptive wrapper, which constructs
-// one from a defaulted AdaptiveConfig — reproduces it bit for bit.
+// handlerState.adapt arithmetic. The trajectory table test below
+// proves the AIMD policy, installed through SetPolicy, reproduces it
+// bit for bit.
 type legacyAdaptive struct {
-	cfg          AdaptiveConfig // already defaulted
+	cfg          legacyConfig
 	base, cur    int64
 	onTimeStreak int64
 }
 
 func (l *legacyAdaptive) observe(gap int64) int64 {
-	if float64(gap) > l.cfg.OverrunFactor*float64(l.cur) {
+	if float64(gap) > l.cfg.overrunFactor*float64(l.cur) {
 		l.onTimeStreak = 0
 		next := l.cur * 2
-		if cap := l.base * l.cfg.MaxBackoffMult; next > cap {
+		if cap := l.base * l.cfg.maxBackoffMult; next > cap {
 			next = cap
 		}
 		l.cur = next
 		return l.cur
 	}
 	l.onTimeStreak++
-	if l.onTimeStreak >= l.cfg.TightenAfter && l.cur > l.base {
+	if l.onTimeStreak >= l.cfg.tightenAfter && l.cur > l.base {
 		l.onTimeStreak = 0
 		next := l.cur - l.base/8
 		if next < l.base {
@@ -58,25 +65,28 @@ func fuzzGaps(seed uint64, cur func() int64) func() int64 {
 	}
 }
 
-// Interval trajectories through the deprecated SetAdaptive wrapper
+// Interval trajectories under an AIMD policy installed with SetPolicy
 // must be bit-identical to the pre-policy implementation over the
 // seeded fuzz corpus, for default and custom configurations.
 func TestAIMDTrajectoryMatchesLegacyAdaptive(t *testing.T) {
-	configs := []AdaptiveConfig{
-		{}, // documented defaults
-		{OverrunFactor: 1.5, MaxBackoffMult: 4, TightenAfter: 2},
-		{OverrunFactor: 1, MaxBackoffMult: 16, TightenAfter: 8}, // factor ≤ 1 defaults to 2 via the bridge
-		{OverrunFactor: 3},
-		{MaxBackoffMult: 2, TightenAfter: 1},
+	configs := []struct {
+		policy AIMD
+		legacy legacyConfig
+	}{
+		{AIMD{}, legacyConfig{2, 8, 4}}, // documented defaults
+		{AIMD{OverrunFactor: 1.5, MaxBackoffMult: 4, TightenAfter: 2}, legacyConfig{1.5, 4, 2}},
+		{AIMD{OverrunFactor: 3}, legacyConfig{3, 8, 4}},
+		{AIMD{MaxBackoffMult: 2, TightenAfter: 1}, legacyConfig{2, 2, 1}},
 	}
 	const base = 1000
 	for ci, cfg := range configs {
 		for seed := uint64(1); seed <= 8; seed++ {
-			legacy := &legacyAdaptive{cfg: cfg.withDefaults(), base: base, cur: base}
+			legacy := &legacyAdaptive{cfg: cfg.legacy, base: base, cur: base}
 
 			rt := New()
 			id := rt.RegisterCI(base, func(uint64) {})
-			rt.SetAdaptive(id, cfg)
+			policy := cfg.policy
+			rt.SetPolicy(id, &policy)
 			now := int64(0)
 			rt.ProbeIR(1<<30, now) // first fire: no meaningful gap
 

@@ -29,9 +29,8 @@ func TestOracleValidatesGeneratedPrograms(t *testing.T) {
 				LimitInstrs: 40_000_000,
 			}
 			for _, d := range designs {
-				if _, err := sanitize.CompileChecked(src, core.Config{
-					Design: d, ProbeIntervalIR: 200,
-				}, sanitize.Options{Exec: true, ExecOptions: eo}); err != nil {
+				if _, err := sanitize.CompileChecked(src, sanitize.Options{Exec: true, ExecOptions: eo},
+					core.WithDesign(d), core.WithProbeInterval(200)); err != nil {
 					t.Errorf("%v: %v", d, err)
 				}
 			}

@@ -12,8 +12,9 @@
 //	    core.WithInterval(5000),
 //	    core.WithHandler(func(irDelta uint64) { ... }))
 //
-// The Config struct remains for programmatic construction and reaches
-// the same path via CompileConfig.
+// Options are the only way in: Config is the read-only view of the
+// compile-side options that ConfigOf resolves, and its Key names the
+// compilation for caches.
 package core
 
 import (
@@ -28,7 +29,9 @@ import (
 	"repro/internal/vm"
 )
 
-// Config selects the instrumentation design and analysis parameters.
+// Config is the resolved compile-side option state: the
+// instrumentation design and analysis parameters. ConfigOf builds it
+// from an option list; Compile accepts options only.
 type Config struct {
 	// Design is the probe design (instrument.CI by default).
 	Design instrument.Design
@@ -38,9 +41,6 @@ type Config struct {
 	// AllowableErrorIR bounds branch-arm summarization (§3.3); defaults
 	// to the probe interval, as the paper chooses heuristically.
 	AllowableErrorIR int64
-	// ExternCostIR is the heuristic cost of uninstrumented calls (§4;
-	// default 100).
-	ExternCostIR int64
 	// ImportedCosts supplies cost files from other build units (§2.6).
 	ImportedCosts analysis.CostTable
 	// DisableLoopTransform / DisableLoopClone switch off the §3.4/§3.5
@@ -66,6 +66,18 @@ type Config struct {
 	ModStageHook instrument.ModStageHook
 }
 
+// Key names the compilation cfg selects, for caches of compiled
+// programs: two configs with equal keys compile a module identically.
+// It covers every field except the stage hooks, which only observe the
+// pipeline, and ImportedCosts, which has no value identity — callers
+// must not cache compilations that import costs.
+func (cfg Config) Key() string {
+	return fmt.Sprintf("%v/pi%d/ae%d/lt%t/lc%t/o%t/tier-%d/dv%t",
+		cfg.Design, cfg.ProbeIntervalIR, cfg.AllowableErrorIR,
+		cfg.DisableLoopTransform, cfg.DisableLoopClone, cfg.Optimize,
+		cfg.Tier, cfg.DebugVerify)
+}
+
 // Program is a compiled (instrumented) module ready to run on the VM.
 type Program struct {
 	// Mod is the instrumented module.
@@ -79,22 +91,10 @@ type Program struct {
 }
 
 // Compile clones src and instruments the clone per the resolved
-// options. src itself is not modified. With WithSanitize the
-// compilation is delegated to the installed interceptor (translation
-// validation); with WithObs each pipeline stage emits a trace instant
-// and the scope carries over to Run.
+// options. src itself is not modified. With WithObs each pipeline
+// stage emits a trace instant and the scope carries over to Run.
 func Compile(src *ir.Module, opts ...Option) (*Program, error) {
 	st := resolve(opts)
-	if st.sanitize != nil {
-		p, err := st.sanitize(src, st.cfg)
-		if err != nil {
-			return nil, err
-		}
-		if p.obs == nil {
-			p.obs = st.obs
-		}
-		return p, nil
-	}
 	cfg := st.cfg
 	if scope := st.obs; scope.Enabled() {
 		inner := cfg.ModStageHook
@@ -117,7 +117,6 @@ func Compile(src *ir.Module, opts ...Option) (*Program, error) {
 		Analysis: analysis.Options{
 			ProbeInterval:        cfg.ProbeIntervalIR,
 			AllowableError:       cfg.AllowableErrorIR,
-			ExternCostIR:         cfg.ExternCostIR,
 			Imported:             cfg.ImportedCosts,
 			DisableLoopTransform: cfg.DisableLoopTransform,
 			DisableLoopClone:     cfg.DisableLoopClone,
@@ -130,15 +129,6 @@ func Compile(src *ir.Module, opts ...Option) (*Program, error) {
 		return nil, err
 	}
 	return &Program{Mod: m, Source: src, Instr: res, cfg: st.cfg, obs: st.obs}, nil
-}
-
-// CompileConfig compiles src from a programmatically built Config —
-// the struct entry point for callers (like the sanitize interceptor)
-// that assemble configurations as values rather than option lists.
-// Equivalent to Compile with the matching fine-grained options.
-func CompileConfig(src *ir.Module, cfg Config, opts ...Option) (*Program, error) {
-	withCfg := func(s *settings) { s.cfg = cfg }
-	return Compile(src, append([]Option{withCfg}, opts...)...)
 }
 
 // CompileText parses textual IR and compiles it.
@@ -159,8 +149,8 @@ func (p *Program) ExportCosts() ([]byte, error) {
 	return analysis.ExportCosts(p.Instr.Analysis.Costs)
 }
 
-// RunConfig configures a VM run of a compiled program.
-type RunConfig struct {
+// runConfig is the resolved run-side option state.
+type runConfig struct {
 	// Threads runs the entry function on this many VM threads (default
 	// 1); Args(id) supplies per-thread arguments (default: thread id).
 	Threads int
@@ -179,8 +169,6 @@ type RunConfig struct {
 	IRPerCycle float64
 	// RecordIntervals records inter-fire gaps on handler id 1.
 	RecordIntervals bool
-	// Model overrides the VM cost model.
-	Model *vm.CostModel
 	// LimitInstrs bounds per-thread execution (0 = none).
 	LimitInstrs int64
 }
@@ -221,7 +209,7 @@ func (p *Program) Run(fn string, opts ...Option) (*RunResult, error) {
 	if f.NumParams == 0 {
 		args = func(int) []int64 { return nil }
 	}
-	machine := vm.New(p.Mod, rc.Model, threads)
+	machine := vm.New(p.Mod, nil, threads)
 	machine.LimitInstrs = rc.LimitInstrs
 	machine.Obs = scope
 	machine.Tier = p.cfg.Tier

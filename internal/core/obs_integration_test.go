@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/ci/instrument"
@@ -109,5 +110,37 @@ func TestConfigOfResolution(t *testing.T) {
 	}
 	if got := ConfigOf(); got.Design != 0 || got.ProbeIntervalIR != 0 || got.ImportedCosts != nil {
 		t.Errorf("ConfigOf() = %+v, want zero", got)
+	}
+}
+
+// Config.Key must change when any value field of Config changes, so a
+// new field cannot silently alias two cached compilations. Func and
+// map fields (stage hooks, ImportedCosts) have no value identity and
+// are excluded by design.
+func TestConfigKeyCoversEveryField(t *testing.T) {
+	base := ConfigOf(WithDesign(instrument.CI), WithProbeInterval(250), WithAllowableError(80))
+	seen := map[string]string{base.Key(): "base"}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		cfg := base
+		v := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Func, reflect.Map:
+			continue
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		default:
+			t.Fatalf("Config.%s: kind %v not covered by this test; extend it and Key", f.Name, v.Kind())
+		}
+		k := cfg.Key()
+		if prev, dup := seen[k]; dup {
+			t.Errorf("changing Config.%s leaves Key %q equal to %s's", f.Name, k, prev)
+		}
+		seen[k] = f.Name
 	}
 }

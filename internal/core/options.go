@@ -1,6 +1,5 @@
-// Functional-options surface for Compile/Run. Config remains a plain
-// struct for callers that build configurations programmatically (via
-// the CompileConfig entry point), but the canonical API is
+// Functional-options surface for Compile/Run, the only way to
+// configure either phase:
 //
 //	prog, err := core.Compile(src,
 //	    core.WithDesign(instrument.CI),
@@ -11,25 +10,23 @@
 //	    core.WithInterval(5000))
 //
 // Options apply in order; later options override earlier ones.
+// ConfigOf resolves an option list to its read-only compile-side view.
 package core
 
 import (
 	"repro/internal/ci/analysis"
 	"repro/internal/ci/ciruntime"
 	"repro/internal/ci/instrument"
-	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
-// settings is the resolved option state: compile config, run config,
-// the observability scope shared by both phases, and an optional
-// compile interceptor.
+// settings is the resolved option state: compile config, run config
+// and the observability scope shared by both phases.
 type settings struct {
-	cfg      Config
-	rc       RunConfig
-	obs      *obs.Scope
-	sanitize SanitizeFunc
+	cfg Config
+	rc  runConfig
+	obs *obs.Scope
 	// tierSet marks an explicit WithTier so Program.Run can distinguish
 	// "override the compiled-in tier" from the zero value.
 	tierSet bool
@@ -38,12 +35,6 @@ type settings struct {
 // Option configures Compile and/or Run. Compile ignores run-only
 // options and vice versa, so one option slice can serve both phases.
 type Option func(*settings)
-
-// SanitizeFunc intercepts compilation: when installed via WithSanitize,
-// Compile delegates to it with the resolved Config. The sanitize
-// package's Checked adapter routes this through full translation
-// validation without core importing it (which would cycle).
-type SanitizeFunc func(src *ir.Module, cfg Config) (*Program, error)
 
 func resolve(opts []Option) settings {
 	var st settings
@@ -55,13 +46,10 @@ func resolve(opts []Option) settings {
 	return st
 }
 
-// ConfigOf resolves opts to the compile-side Config — the canonical
-// way to derive cache keys or feed struct-based entry points (e.g.
-// sanitize.CompileChecked) from an option list.
+// ConfigOf resolves opts to the compile-side Config — the way to
+// derive cache keys (Config.Key) or inspect the options a caller
+// passed, e.g. to chain after its stage hooks.
 func ConfigOf(opts ...Option) Config { return resolve(opts).cfg }
-
-// RunConfigOf resolves opts to the run-side RunConfig.
-func RunConfigOf(opts ...Option) RunConfig { return resolve(opts).rc }
 
 // WithDesign selects the probe design.
 func WithDesign(d instrument.Design) Option {
@@ -77,11 +65,6 @@ func WithProbeInterval(n int64) Option {
 // WithAllowableError bounds branch-arm summarization (§3.3).
 func WithAllowableError(n int64) Option {
 	return func(s *settings) { s.cfg.AllowableErrorIR = n }
-}
-
-// WithExternCost sets the heuristic cost of uninstrumented calls (§4).
-func WithExternCost(n int64) Option {
-	return func(s *settings) { s.cfg.ExternCostIR = n }
 }
 
 // WithImportedCosts supplies cost files from other build units (§2.6).
@@ -133,13 +116,6 @@ func WithTier(t vm.Tier) Option {
 		s.cfg.Tier = t
 		s.tierSet = true
 	}
-}
-
-// WithSanitize installs a compile interceptor, typically
-// sanitize.Checked(...), that routes compilation through translation
-// validation.
-func WithSanitize(fn SanitizeFunc) Option {
-	return func(s *settings) { s.sanitize = fn }
 }
 
 // WithObs attaches an observability scope to both phases: Compile
@@ -196,11 +172,6 @@ func WithQuantumPolicy(make func() ciruntime.QuantumPolicy) Option {
 // WithRecordIntervals records inter-fire gaps on handler id 1.
 func WithRecordIntervals(on bool) Option {
 	return func(s *settings) { s.rc.RecordIntervals = on }
-}
-
-// WithModel overrides the VM cost model.
-func WithModel(m *vm.CostModel) Option {
-	return func(s *settings) { s.rc.Model = m }
 }
 
 // WithLimit bounds per-thread execution in executed instructions.

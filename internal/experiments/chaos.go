@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/ci/ciruntime"
 	"repro/internal/faults"
 	"repro/internal/ffwd"
 	"repro/internal/mtcp"
@@ -77,9 +78,14 @@ func RunChaos(seed uint64, rates []float64) []ChaosRow {
 	return rows
 }
 
+// mtcpAIMD is mtcp's classic polling-interval controller: strict 1x
+// overrun classification, 8x backoff cap, tighten after 4 on-budget
+// polls.
+func mtcpAIMD() ciruntime.QuantumPolicy { return &ciruntime.AIMD{OverrunFactor: 1} }
+
 func chaosMTCP(seed uint64, rate float64) ChaosRow {
 	cfg := mtcp.Config{
-		Mode: mtcp.CI, Conns: 32, Adaptive: true,
+		Mode: mtcp.CI, Conns: 32, Quantum: mtcpAIMD,
 		Seed: seed, FaultPlan: faults.Uniform(seed, rate),
 	}
 	row := ChaosRow{Subsystem: "mtcp", Rate: rate}
@@ -99,7 +105,7 @@ func chaosMTCP(seed uint64, rate float64) ChaosRow {
 				r.Issued, r.CompletedAll, r.Aborted, r.Rejects, r.Outstanding))
 	}
 	if rate > 0 {
-		base, _ := mtcp.RunChecked(mtcp.Config{Mode: mtcp.CI, Conns: 32, Adaptive: true, Seed: seed})
+		base, _ := mtcp.RunChecked(mtcp.Config{Mode: mtcp.CI, Conns: 32, Quantum: mtcpAIMD, Seed: seed})
 		row.Violations = append(row.Violations, boundedDegradation(
 			r.ThroughputGbps, base.ThroughputGbps, r.P99LatencyUs, base.P99LatencyUs)...)
 	}

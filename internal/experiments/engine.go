@@ -64,14 +64,6 @@ type progEntry struct {
 	Guard *engine.GuardedModule
 }
 
-// cfgKey folds every compilation-relevant core.Config field into a
-// cache key component.
-func cfgKey(cfg core.Config) string {
-	return fmt.Sprintf("%v/pi%d/ae%d/xc%d/lt%t/lc%t/o%t/tier-%s",
-		cfg.Design, cfg.ProbeIntervalIR, cfg.AllowableErrorIR, cfg.ExternCostIR,
-		cfg.DisableLoopTransform, cfg.DisableLoopClone, cfg.Optimize, cfg.Tier)
-}
-
 // newMachine builds a VM on the engine's execution tier (interpreter
 // with a nil engine).
 func newMachine(eng *engine.Engine, m *ir.Module, model *vm.CostModel, threads int) *vm.VM {
@@ -119,7 +111,7 @@ func BaselineCached(eng *engine.Engine, wl *workloads.Workload, scale, threads i
 // on cache misses.
 func compileMaybeChecked(eng *engine.Engine, src *ir.Module, opts []core.Option) (*core.Program, error) {
 	if eng != nil && eng.SanitizeOnMiss {
-		return sanitize.CompileChecked(src, core.ConfigOf(opts...), sanitize.Options{})
+		return sanitize.CompileChecked(src, sanitize.Options{}, opts...)
 	}
 	return core.Compile(src, opts...)
 }
@@ -138,7 +130,7 @@ func CompileCached(eng *engine.Engine, wl *workloads.Workload, scale int, opts .
 	if eng == nil || eng.Cache == nil || cfg.ImportedCosts != nil {
 		return compileMaybeChecked(eng, SourceModule(eng, wl, scale), opts)
 	}
-	key := fmt.Sprintf("prog/%s/s%d/%s", wl.Name, scale, cfgKey(cfg))
+	key := fmt.Sprintf("prog/%s/s%d/%s", wl.Name, scale, cfg.Key())
 	v, err := eng.Cache.Get(key, func() (any, error) {
 		prog, err := compileMaybeChecked(eng, SourceModule(eng, wl, scale), opts)
 		if err != nil {

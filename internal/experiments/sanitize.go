@@ -93,9 +93,8 @@ func RunSanitizeSweep(eng *engine.Engine, seeds int) ([]SanitizeRow, []CellError
 		}
 		var cell sanitizeCell
 		for di, d := range sanitizeDesigns {
-			prog, err := sanitize.CompileChecked(src, core.Config{
-				Design: d, ProbeIntervalIR: 200,
-			}, sanitize.Options{Exec: true, ExecOptions: eo})
+			prog, err := sanitize.CompileChecked(src, sanitize.Options{Exec: true, ExecOptions: eo},
+				core.WithDesign(d), core.WithProbeInterval(200))
 			var se *sanitize.StageError
 			var div *sanitize.Divergence
 			switch {

@@ -112,7 +112,7 @@ func RunSoak(eng *engine.Engine, seed uint64, phaseDuration int64, phases []Soak
 // deterministic.
 func soakMTCP(seed uint64, duration int64) []string {
 	cfg := mtcp.Config{
-		Mode: mtcp.CI, Conns: 64, WorkCycles: 100_000, Adaptive: true,
+		Mode: mtcp.CI, Conns: 64, WorkCycles: 100_000, Quantum: mtcpAIMD,
 		Seed: seed, DurationCycles: duration,
 		FaultPlan: faults.Uniform(seed, 0.01),
 		Overload:  &overload.Config{DeadlineCycles: 2_000_000, TargetDelayCycles: 500_000},

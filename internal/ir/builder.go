@@ -114,11 +114,6 @@ func (bl *Builder) ExtCall(callee string, args ...Reg) Reg {
 	return bl.emit(Instr{Op: OpExtCall, Dst: bl.F.NewReg(), Callee: callee, Args: args})
 }
 
-// ReadCycles emits Dst = cycle counter and returns Dst.
-func (bl *Builder) ReadCycles() Reg {
-	return bl.emit(Instr{Op: OpReadCycles, Dst: bl.F.NewReg()})
-}
-
 // Jmp terminates the current block with an unconditional jump.
 func (bl *Builder) Jmp(t *Block) {
 	bl.B.Term = Terminator{Kind: TermJmp, Then: t, Cond: NoReg, Val: NoReg}

@@ -22,9 +22,9 @@
 // retransmits cost only receive-path cycles, never duplicate
 // application work. An optional fault plan injects packet loss/
 // corruption/reordering at the NIC, app-side stall spikes, and
-// CI-handler overrun spikes; with Config.Adaptive the CI polling
-// interval backs off multiplicatively under overruns and re-tightens
-// additively when the handler meets its budget again (AIMD).
+// CI-handler overrun spikes; with an AIMD Config.Quantum policy the CI
+// polling interval backs off multiplicatively under overruns and
+// re-tightens additively when the handler meets its budget again.
 //
 // The simulation runs one of the 16 server threads; reported
 // throughput is aggregated across threads and capped by the 10 Gbps
@@ -124,18 +124,14 @@ type Config struct {
 	// Obs, when enabled, receives CI-poll spans, poll-cost histograms
 	// and interval-adaptation instants on the "mtcp" trace category.
 	Obs *obs.Scope
-	// Adaptive enables AIMD adaptation of the CI polling interval
-	// under handler overruns (CI mode only): overruns double the
-	// interval up to 8x the configured value; sustained on-budget
-	// polls re-tighten it additively. Shorthand for the classic AIMD
-	// quantum policy (strict 1x overrun classification).
-	Adaptive bool
 	// Quantum, when non-nil, constructs the interval-control policy
 	// for the CI polling loop (see ciruntime.QuantumPolicy): every
 	// poll's handler cost is observed as the gap and the interval the
-	// policy returns becomes the next polling period. Overrides
-	// Adaptive. Brownout and breaker events still override/reset the
-	// policy's interval exactly as they did the private AIMD.
+	// policy returns becomes the next polling period. The classic mtcp
+	// controller is &ciruntime.AIMD{OverrunFactor: 1}: strict 1x
+	// overrun classification ("the handler cost exceeded its
+	// interval"), 8x cap, tighten after 4 on-budget polls. Brownout
+	// and breaker events still override/reset the policy's interval.
 	Quantum func() ciruntime.QuantumPolicy
 	// Overload optionally enables the overload-control plane (CI mode
 	// only), actuated from the CI poll: admission with deadline
@@ -319,16 +315,8 @@ func RunChecked(cfg Config) (Result, error) {
 	}
 	s.nic.Faults = faults.New(cfg.FaultPlan, "mtcp/net")
 	s.curInterval = cfg.IntervalCycles
-	switch {
-	case cfg.Quantum != nil:
+	if cfg.Quantum != nil {
 		s.quantum = cfg.Quantum()
-	case cfg.Adaptive:
-		// The classic mtcp AIMD: strict 1x overrun classification
-		// ("the handler cost exceeded its interval"), 8x cap, tighten
-		// after 4 on-budget polls.
-		s.quantum = &ciruntime.AIMD{OverrunFactor: 1}
-	}
-	if s.quantum != nil {
 		s.quantum.Reset(cfg.IntervalCycles)
 	}
 	s.serverIdle = true
@@ -571,8 +559,8 @@ func (s *server) deliverReject(conn int, gen int64, txDone int64) {
 
 // ciPoll is the CI-mode stack run: the interrupt handler executes the
 // mTCP stack-loop body, then the application consumes the remainder of
-// the interval. Under Config.Adaptive the polling interval reacts to
-// handler overruns with AIMD; with the overload plane enabled the poll
+// the interval. Under a Config.Quantum policy the polling interval
+// reacts to handler overruns; with the overload plane enabled the poll
 // is also the control-loop tick — admission, brownout and breaker
 // decisions all ride the CI handler's cadence.
 func (s *server) ciPoll() {

@@ -3,9 +3,14 @@ package mtcp
 import (
 	"testing"
 
+	"repro/internal/ci/ciruntime"
 	"repro/internal/faults"
 	"repro/internal/overload"
 )
+
+// classicAIMD is the mtcp polling-interval controller the adaptive
+// tests install through Config.Quantum.
+func classicAIMD() ciruntime.QuantumPolicy { return &ciruntime.AIMD{OverrunFactor: 1} }
 
 func TestModesRunAndComplete(t *testing.T) {
 	for _, m := range []Mode{Kernel, Orig, CI} {
@@ -212,7 +217,7 @@ func TestTotalLossAbortsWithBackoffCap(t *testing.T) {
 // Same seed and plan ⇒ bit-identical results, fault injection included.
 func TestFaultRunsDeterministic(t *testing.T) {
 	cfg := Config{
-		Mode: CI, Conns: 32, Adaptive: true,
+		Mode: CI, Conns: 32, Quantum: classicAIMD,
 		FaultPlan: faults.Uniform(99, 0.01),
 	}
 	a := Run(cfg)
@@ -249,9 +254,9 @@ func TestAdaptiveIntervalBacksOffUnderOverruns(t *testing.T) {
 	plan := &faults.Plan{Seed: 7, OverrunProb: 0.5, OverrunCycles: 50_000}
 	fixed := Run(Config{Mode: CI, Conns: 16, FaultPlan: plan})
 	if fixed.FinalIntervalCycles != 2500 {
-		t.Errorf("interval moved without Adaptive: %d", fixed.FinalIntervalCycles)
+		t.Errorf("interval moved without a quantum policy: %d", fixed.FinalIntervalCycles)
 	}
-	adaptive := Run(Config{Mode: CI, Conns: 16, FaultPlan: plan, Adaptive: true})
+	adaptive := Run(Config{Mode: CI, Conns: 16, FaultPlan: plan, Quantum: classicAIMD})
 	if adaptive.Overruns == 0 {
 		t.Fatal("no overruns detected under injected spikes")
 	}
@@ -263,7 +268,7 @@ func TestAdaptiveIntervalBacksOffUnderOverruns(t *testing.T) {
 	}
 	// With a base interval comfortably above the per-poll handler cost
 	// and no spikes, an adaptive run never leaves the base.
-	calm := Run(Config{Mode: CI, Conns: 1, IntervalCycles: 16000, Adaptive: true})
+	calm := Run(Config{Mode: CI, Conns: 1, IntervalCycles: 16000, Quantum: classicAIMD})
 	if calm.FinalIntervalCycles != 16000 {
 		t.Errorf("adaptive interval drifted without overruns: %d", calm.FinalIntervalCycles)
 	}

@@ -12,7 +12,7 @@ import (
 // overload mechanism has something to do.
 func saturatedOverloadConfig() Config {
 	return Config{
-		Mode: CI, Conns: 64, WorkCycles: 100_000, Adaptive: true, Seed: 5,
+		Mode: CI, Conns: 64, WorkCycles: 100_000, Quantum: classicAIMD, Seed: 5,
 		Overload: &overload.Config{DeadlineCycles: 2_000_000, TargetDelayCycles: 500_000},
 	}
 }
@@ -58,7 +58,7 @@ func TestOverloadShedsUnderSaturation(t *testing.T) {
 
 	// The tail of what *was* served stays near the deadline instead of
 	// inheriting the unbounded queueing delay of the unprotected run.
-	base := Run(Config{Mode: CI, Conns: 64, WorkCycles: 100_000, Adaptive: true, Seed: 5})
+	base := Run(Config{Mode: CI, Conns: 64, WorkCycles: 100_000, Quantum: classicAIMD, Seed: 5})
 	if r.P99LatencyUs >= base.P99LatencyUs {
 		t.Errorf("admission did not cut the tail: %.0fµs with plane vs %.0fµs without",
 			r.P99LatencyUs, base.P99LatencyUs)
@@ -86,7 +86,7 @@ func TestBrownoutDefersRetransmitHeavyConns(t *testing.T) {
 // no NACKs, and the conservation identity degenerates to the old
 // three-term form.
 func TestOverloadDisabledIsInert(t *testing.T) {
-	r := Run(Config{Mode: CI, Conns: 32, Adaptive: true, FaultPlan: faults.Uniform(99, 0.01)})
+	r := Run(Config{Mode: CI, Conns: 32, Quantum: classicAIMD, FaultPlan: faults.Uniform(99, 0.01)})
 	if r.Overload != (overload.Snapshot{}) {
 		t.Errorf("disabled plane left a snapshot: %+v", r.Overload)
 	}
@@ -100,7 +100,7 @@ func TestOverloadDisabledIsInert(t *testing.T) {
 func TestBreakerTripResetsAdaptiveInterval(t *testing.T) {
 	var atTrip int64 = -1
 	cfg := Config{
-		Mode: CI, Conns: 48, WorkCycles: 150_000, Adaptive: true, Seed: 5,
+		Mode: CI, Conns: 48, WorkCycles: 150_000, Quantum: classicAIMD, Seed: 5,
 		// Aborts from total loss feed the breaker's error window.
 		FaultPlan: &faults.Plan{Seed: 3, DropProb: 1},
 		Overload: &overload.Config{

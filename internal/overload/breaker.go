@@ -97,13 +97,14 @@ func (b *breaker) transition(c *Controller, to State, now int64) {
 	if from == to {
 		return
 	}
-	name := c.cfg.Name + "/breaker-" + from.String()
-	c.sc.Span("overload", name, 0, b.stateSince, now)
-	c.sc.Instant("overload", c.cfg.Name+"/breaker", 0, now,
-		obs.S("from", from.String()), obs.S("to", to.String()))
+	c.sc.Span("overload", c.names.breakerState[from], 0, b.stateSince, now)
+	if c.sc.Enabled() { // the variadic args would allocate
+		c.sc.Instant("overload", c.names.breaker, 0, now,
+			obs.S("from", from.String()), obs.S("to", to.String()))
+	}
 	if to == Open {
 		c.snap.BreakerTrips++
-		c.sc.Count(c.cfg.Name+"/breaker_trips", 1)
+		c.sc.Count(c.names.breakerTrips, 1)
 	}
 	b.state = to
 	b.stateSince = now

@@ -198,8 +198,9 @@ func (s Snapshot) RejectFrac() float64 {
 // Controller is one app's overload-control plane. Nil is the disabled
 // plane: every method no-ops and Admit admits.
 type Controller struct {
-	cfg Config
-	sc  *obs.Scope
+	cfg   Config
+	sc    *obs.Scope
+	names metricNames // zero (all "") without a scope
 
 	snap Snapshot
 
@@ -229,6 +230,38 @@ type Controller struct {
 	maxStartLate int64 // largest (start - deadline) among served requests
 }
 
+// metricNames holds the controller's obs metric names, prefixed with
+// Config.Name. New builds them once, and only when a scope is attached:
+// the hot paths never concatenate strings, and a disabled plane keeps
+// the zero value, which the nil scope ignores.
+type metricNames struct {
+	queueDelay, brownoutTransitions, brownout string
+	codelExits, expired, deferred             string
+	breaker, breakerTrips                     string
+	verdict                                   [len(verdictNames)]string
+	breakerState                              [len(stateNames)]string
+}
+
+func newMetricNames(name string) metricNames {
+	n := metricNames{
+		queueDelay:          name + "/queue_delay_cycles",
+		brownoutTransitions: name + "/brownout_transitions",
+		brownout:            name + "/brownout",
+		codelExits:          name + "/codel_exits",
+		expired:             name + "/expired",
+		deferred:            name + "/deferred",
+		breaker:             name + "/breaker",
+		breakerTrips:        name + "/breaker_trips",
+	}
+	for v, s := range verdictNames {
+		n.verdict[v] = name + "/" + s
+	}
+	for st, s := range stateNames {
+		n.breakerState[st] = name + "/breaker-" + s
+	}
+	return n
+}
+
 // New builds a controller, or returns the disabled nil controller when
 // cfg is nil.
 func New(cfg *Config) *Controller {
@@ -237,6 +270,9 @@ func New(cfg *Config) *Controller {
 	}
 	c := &Controller{cfg: cfg.withDefaults()}
 	c.sc = c.cfg.Obs
+	if c.sc.Enabled() {
+		c.names = newMetricNames(c.cfg.Name)
+	}
 	c.tokens = c.cfg.Burst
 	c.breaker.init(c.cfg.Breaker)
 	return c
@@ -301,7 +337,7 @@ func (c *Controller) Poll(now, queueDelay int64) {
 	c.havePeriod = true
 	c.lastPoll = now
 
-	c.sc.Observe(c.cfg.Name+"/queue_delay_cycles", queueDelay)
+	c.sc.Observe(c.names.queueDelay, queueDelay)
 	c.codelSignal(now, queueDelay)
 	c.breakerTick(now)
 	c.brownoutTick(queueDelay)
@@ -329,9 +365,11 @@ func (c *Controller) brownoutTick(queueDelay int64) {
 		}
 	}
 	if next != c.level {
-		c.sc.Count(c.cfg.Name+"/brownout_transitions", 1)
-		c.sc.Instant("overload", c.cfg.Name+"/brownout", 0, c.lastPoll,
-			obs.I("from", int64(c.level)), obs.I("to", int64(next)))
+		c.sc.Count(c.names.brownoutTransitions, 1)
+		if c.sc.Enabled() { // the variadic args would allocate
+			c.sc.Instant("overload", c.names.brownout, 0, c.lastPoll,
+				obs.I("from", int64(c.level)), obs.I("to", int64(next)))
+		}
 		c.level = next
 	}
 	if next > c.snap.MaxBrownout {
@@ -403,7 +441,7 @@ func (c *Controller) account(v Verdict) {
 			c.snap.RejectedBreaker++
 		}
 	}
-	c.sc.Count(c.cfg.Name+"/"+v.String(), 1)
+	c.sc.Count(c.names.verdict[v], 1)
 }
 
 // codelSignal updates the CoDel state machine from the per-poll queue
@@ -413,7 +451,7 @@ func (c *Controller) codelSignal(now, delay int64) {
 		c.firstAbove = 0
 		if c.dropping {
 			c.dropping = false
-			c.sc.Count(c.cfg.Name+"/codel_exits", 1)
+			c.sc.Count(c.names.codelExits, 1)
 		}
 		return
 	}
@@ -460,7 +498,7 @@ func (c *Controller) StartOrExpire(start, deadline, slack int64) bool {
 		if start > deadline+slack {
 			c.snap.Expired++
 			c.breaker.observe(c, start, 0, true)
-			c.sc.Count(c.cfg.Name+"/expired", 1)
+			c.sc.Count(c.names.expired, 1)
 			return false
 		}
 		if late := start - deadline; late > c.maxStartLate {
@@ -478,7 +516,7 @@ func (c *Controller) NoteDeferred() {
 		return
 	}
 	c.snap.Deferred++
-	c.sc.Count(c.cfg.Name+"/deferred", 1)
+	c.sc.Count(c.names.deferred, 1)
 }
 
 // Observe feeds one request outcome into the breaker's rolling window:

@@ -20,29 +20,33 @@ type Options struct {
 }
 
 // CompileChecked compiles src under full translation validation: the
-// stage checker is wired into every pipeline hook (chained after any
-// hooks already present in cfg, so test doubles that corrupt a stage
-// run before the checks), DebugVerify is forced on, and — with
-// opts.Exec — the differential execution oracle runs on the result.
-// The returned error is a *StageError or *Divergence when validation
-// fails.
-func CompileChecked(src *ir.Module, cfg core.Config, opts Options) (*core.Program, error) {
+// stage checker is chained after any stage hooks already among copts
+// (so test doubles that corrupt a stage run before the checks),
+// DebugVerify is forced on, and — with opts.Exec — the differential
+// execution oracle runs on the result. The returned error is a
+// *StageError or *Divergence when validation fails.
+//
+//	prog, err := sanitize.CompileChecked(src, sanitize.Options{Exec: true},
+//	    core.WithDesign(instrument.CI))
+func CompileChecked(src *ir.Module, opts Options, copts ...core.Option) (*core.Program, error) {
 	ck := NewChecker()
+	cfg := core.ConfigOf(copts...)
 	userF, userM := cfg.FuncStageHook, cfg.ModStageHook
-	cfg.DebugVerify = true
-	cfg.FuncStageHook = func(stage string, f *ir.Func) {
-		if userF != nil {
-			userF(stage, f)
-		}
-		ck.CheckFunc(stage, f)
-	}
-	cfg.ModStageHook = func(stage string, m *ir.Module) {
-		if userM != nil {
-			userM(stage, m)
-		}
-		ck.CheckModule(stage, m)
-	}
-	prog, err := core.CompileConfig(src, cfg)
+	copts = append(copts[:len(copts):len(copts)],
+		core.WithDebugVerify(true),
+		core.WithFuncStageHook(func(stage string, f *ir.Func) {
+			if userF != nil {
+				userF(stage, f)
+			}
+			ck.CheckFunc(stage, f)
+		}),
+		core.WithModStageHook(func(stage string, m *ir.Module) {
+			if userM != nil {
+				userM(stage, m)
+			}
+			ck.CheckModule(stage, m)
+		}))
+	prog, err := core.Compile(src, copts...)
 	// Stage findings take precedence: they name the exact stage, where
 	// the final-verify error from the pipeline only says "broken".
 	if serr := ck.Err(); serr != nil {
@@ -58,26 +62,4 @@ func CompileChecked(src *ir.Module, cfg core.Config, opts Options) (*core.Progra
 		}
 	}
 	return prog, nil
-}
-
-// Checked adapts CompileChecked to the functional-options API: it
-// returns a core.Option that makes core.Compile route the whole
-// compilation through translation validation with these opts:
-//
-//	prog, err := core.Compile(src,
-//	    core.WithDesign(instrument.CI),
-//	    sanitize.Checked(sanitize.Options{Exec: true}))
-func Checked(opts Options) core.Option {
-	return core.WithSanitize(func(src *ir.Module, cfg core.Config) (*core.Program, error) {
-		return CompileChecked(src, cfg, opts)
-	})
-}
-
-// CompileCheckedText parses textual IR and runs CompileChecked.
-func CompileCheckedText(src string, cfg core.Config, opts Options) (*core.Program, error) {
-	m, err := ir.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return CompileChecked(m, cfg, opts)
 }

@@ -61,9 +61,8 @@ func TestMiscompileCaughtAtExactStage(t *testing.T) {
 			}
 		}
 	}
-	_, err := sanitize.CompileChecked(src, core.Config{
-		Design: instrument.CI, ProbeIntervalIR: 100, FuncStageHook: orphan,
-	}, sanitize.Options{})
+	_, err := sanitize.CompileChecked(src, sanitize.Options{},
+		core.WithDesign(instrument.CI), core.WithProbeInterval(100), core.WithFuncStageHook(orphan))
 	var se *sanitize.StageError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StageError", err)
@@ -90,10 +89,11 @@ func swapBr(stage string, f *ir.Func) {
 // round-trips through the repro store.
 func TestMiscompileDivergenceAndShrink(t *testing.T) {
 	src := ir.MustParse(diamondSrc)
-	cfg := core.Config{Design: instrument.CI, ProbeIntervalIR: 100, FuncStageHook: swapBr}
 	eo := sanitize.ExecOptions{Args: []int64{3}, LimitInstrs: 1_000_000}
+	so := sanitize.Options{Exec: true, ExecOptions: eo}
+	copts := []core.Option{core.WithDesign(instrument.CI), core.WithProbeInterval(100), core.WithFuncStageHook(swapBr)}
 
-	_, err := sanitize.CompileChecked(src, cfg, sanitize.Options{Exec: true, ExecOptions: eo})
+	_, err := sanitize.CompileChecked(src, so, copts...)
 	var div *sanitize.Divergence
 	if !errors.As(err, &div) {
 		t.Fatalf("err = %v, want *Divergence", err)
@@ -103,7 +103,7 @@ func TestMiscompileDivergenceAndShrink(t *testing.T) {
 	}
 
 	stillFails := func(m *ir.Module) bool {
-		_, err := sanitize.CompileChecked(m, cfg, sanitize.Options{Exec: true, ExecOptions: eo})
+		_, err := sanitize.CompileChecked(m, so, copts...)
 		var d *sanitize.Divergence
 		return errors.As(err, &d)
 	}

@@ -27,9 +27,8 @@ func TestPinnedReprosStayFixed(t *testing.T) {
 			eo := sanitize.ExecOptions{LimitInstrs: 20_000_000}
 			for _, d := range oracleDesigns {
 				for _, pi := range []int64{60, 250} {
-					if _, err := sanitize.CompileChecked(rp.Mod, core.Config{
-						Design: d, ProbeIntervalIR: pi,
-					}, sanitize.Options{Exec: true, ExecOptions: eo}); err != nil {
+					if _, err := sanitize.CompileChecked(rp.Mod, sanitize.Options{Exec: true, ExecOptions: eo},
+						core.WithDesign(d), core.WithProbeInterval(pi)); err != nil {
 						t.Errorf("%v/pi=%d: %v", d, pi, err)
 					}
 				}

@@ -68,8 +68,8 @@ type funcSnap struct {
 }
 
 // Checker accumulates stage observations for one compilation. Attach
-// FuncHook/ModHook to the pipeline (or use CompileChecked, which does
-// the wiring) and inspect Err afterwards. A Checker is single-use and
+// CheckFunc/CheckModule to the pipeline's stage hooks (or use
+// CompileChecked, which does the wiring) and inspect Err afterwards. A Checker is single-use and
 // not safe for concurrent hooks — the pipeline is sequential.
 type Checker struct {
 	funcs map[string]*funcSnap
@@ -109,18 +109,6 @@ func (c *Checker) report(stage, fn, check, detail string) {
 		return
 	}
 	c.errs = append(c.errs, &StageError{Stage: stage, Func: fn, Check: check, Detail: detail})
-}
-
-// FuncHook returns the analysis-side stage observer; wire it into
-// analysis.Options.StageHook (or core.Config.FuncStageHook).
-func (c *Checker) FuncHook() func(stage string, f *ir.Func) {
-	return c.CheckFunc
-}
-
-// ModHook returns the module-level stage observer; wire it into
-// instrument.Options.StageHook (or core.Config.ModStageHook).
-func (c *Checker) ModHook() func(stage string, m *ir.Module) {
-	return c.CheckModule
 }
 
 // CheckFunc validates one function against its previous snapshot and

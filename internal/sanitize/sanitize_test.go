@@ -46,8 +46,8 @@ func TestOracleFourDesignsOver500Programs(t *testing.T) {
 					t.Fatalf("seed %d: baseline: %v", seed, err)
 				}
 				for _, d := range oracleDesigns {
-					prog, err := sanitize.CompileChecked(src,
-						core.Config{Design: d, ProbeIntervalIR: 250}, sanitize.Options{})
+					prog, err := sanitize.CompileChecked(src, sanitize.Options{},
+						core.WithDesign(d), core.WithProbeInterval(250))
 					if err != nil {
 						t.Fatalf("seed %d %v: %v", seed, d, err)
 					}
@@ -67,8 +67,8 @@ func TestAllDesignsStageChecksClean(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		src := fuzz.Generate(seed, fuzz.Options{MaxDepth: 2, MaxStmts: 4})
 		for _, d := range instrument.Designs {
-			if _, err := sanitize.CompileChecked(src,
-				core.Config{Design: d, ProbeIntervalIR: 120}, sanitize.Options{}); err != nil {
+			if _, err := sanitize.CompileChecked(src, sanitize.Options{},
+				core.WithDesign(d), core.WithProbeInterval(120)); err != nil {
 				t.Errorf("seed %d %v: %v", seed, d, err)
 			}
 		}
@@ -109,8 +109,8 @@ func TestOracleComparesStoreStreams(t *testing.T) {
 		t.Fatal("baseline trace recorded no stores")
 	}
 	for _, d := range oracleDesigns {
-		prog, err := sanitize.CompileChecked(src,
-			core.Config{Design: d, ProbeIntervalIR: 50}, sanitize.Options{})
+		prog, err := sanitize.CompileChecked(src, sanitize.Options{},
+			core.WithDesign(d), core.WithProbeInterval(50))
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}

@@ -606,7 +606,9 @@ const (
 	tierStepsScale = 8
 	// Worst observed full-set speedup is ~1.4x on an unloaded host;
 	// 1.15 leaves headroom for noisy runners while still failing hard
-	// if superblocks or fusion stop engaging (which lands at ~1.0x).
+	// if the tier regresses toward interpreter parity. Disabling
+	// superblocks alone measured 1.17–1.45x (DESIGN.md §12), so the
+	// floor does not by itself prove they engage.
 	tierSpeedupFloor = 1.15
 )
 

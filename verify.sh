@@ -28,6 +28,14 @@ echo "== go test -race =="
 # read-only baselines, so the whole suite must stay race-clean.
 go test -race ./...
 
+echo "== perfbench =="
+# The benchmark is its own module (replace repro => ../), so the root
+# go test never compiles it; build and test it here so a core or
+# sanitize API break cannot slip past the gate. Same module flags as
+# perfbench/run.sh.
+(cd perfbench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off go vet ./... &&
+    GOFLAGS=-mod=mod GOPROXY=off GOWORK=off go test ./...)
+
 echo "== chaos smoke =="
 go run ./cmd/ciexp -quick chaos
 
