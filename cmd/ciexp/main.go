@@ -98,7 +98,7 @@ import (
 )
 
 func main() {
-	cf := cliflags.New(flag.CommandLine).AddScale().AddSeed().AddEngine().AddObs().AddSLO().AddInterleave().AddFleet().AddQuantum()
+	cf := cliflags.New(flag.CommandLine).AddScale().AddSeed().AddEngine().AddObs().AddSLO().AddBound().AddFleet().AddQuantum()
 	quick := flag.Bool("quick", false, "use a workload subset where supported")
 	all := flag.Bool("all", false, "fig9/fig11: include Naive-Cycles and CnB-Cycles")
 	flag.Usage = func() {

@@ -87,7 +87,7 @@ type Flags struct {
 	MaxReject    float64
 	SoakDuration int64
 
-	// AddInterleave
+	// AddInterleave / AddBound
 	Interleave bool
 	Bound      int
 
@@ -223,6 +223,12 @@ func (f *Flags) AddSLO() *Flags {
 func (f *Flags) AddInterleave() *Flags {
 	f.fs.BoolVar(&f.Interleave, "interleave", false,
 		"run the handler interleaving verifier (probe-schedule exploration + race table)")
+	return f.AddBound()
+}
+
+// AddBound registers only the verifier's -bound, for ciexp, whose
+// interleave subcommand needs no -interleave switch.
+func (f *Flags) AddBound() *Flags {
 	f.fs.IntVar(&f.Bound, "bound", 2, "interleave: context bound (max forced handler fires per schedule, 1-3)")
 	return f
 }

@@ -185,6 +185,23 @@ func TestQuantumFlag(t *testing.T) {
 	}
 }
 
+// ciexp registers -bound alone; -interleave belongs to cirun and cidump.
+func TestBoundOnlyRegistration(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := New(fs).AddBound()
+	if fs.Lookup("bound") == nil || fs.Lookup("interleave") != nil {
+		t.Fatalf("AddBound: bound=%v interleave=%v, want bound only", fs.Lookup("bound"), fs.Lookup("interleave"))
+	}
+	if err := fs.Parse([]string{"-bound", "3"}); err != nil || f.Bound != 3 {
+		t.Errorf("-bound 3: Bound=%d, err=%v", f.Bound, err)
+	}
+	full := flag.NewFlagSet("test", flag.ContinueOnError)
+	New(full).AddInterleave()
+	if full.Lookup("bound") == nil || full.Lookup("interleave") == nil {
+		t.Error("AddInterleave must register both -interleave and -bound")
+	}
+}
+
 func TestParseArgs(t *testing.T) {
 	got, err := ParseArgs("1, -2,3")
 	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != -2 || got[2] != 3 {

@@ -64,7 +64,7 @@ func Serial() *Engine { return New(1) }
 
 // Workers reports the engine's pool concurrency.
 func (e *Engine) Workers() int {
-	if e == nil || e.Pool == nil {
+	if e == nil {
 		return 1
 	}
 	return e.Pool.Workers()

@@ -19,55 +19,145 @@ import (
 )
 
 // Map must return results in input order regardless of worker count,
-// with errors landing in the slot of the input that produced them.
+// with errors landing in the slot of the input that produced them, and
+// must visit every index exactly once per call across repeated calls
+// (internal/fleet steps its replicas with one Map call per epoch).
+// 13 cells on 3 and 32 workers cover uneven splits and more workers
+// than cells.
 func TestMapOrderAndErrorSlots(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
+	const n, calls = 13, 5
+	for _, workers := range []int{1, 2, 3, 8, 32} {
 		p := engine.NewPool(workers)
-		out, errs := engine.Map(p, 20, func(i int) (int, error) {
-			if i == 7 || i == 13 {
-				return 0, fmt.Errorf("cell %d failed", i)
-			}
-			return i * i, nil
-		})
-		if len(out) != 20 || len(errs) != 20 {
-			t.Fatalf("workers=%d: lengths %d/%d", workers, len(out), len(errs))
-		}
-		for i := range out {
-			if i == 7 || i == 13 {
-				if errs[i] == nil {
-					t.Errorf("workers=%d: slot %d lost its error", workers, i)
+		visits := make([]atomic.Int32, n)
+		for call := 1; call <= calls; call++ {
+			out, errs := engine.Map(p, n, func(i int) (int, error) {
+				visits[i].Add(1)
+				if i == 7 || i == 12 {
+					return 0, fmt.Errorf("cell %d failed", i)
 				}
-				continue
+				return i * i, nil
+			})
+			if len(out) != n || len(errs) != n {
+				t.Fatalf("workers=%d: lengths %d/%d", workers, len(out), len(errs))
 			}
-			if errs[i] != nil {
-				t.Errorf("workers=%d: slot %d unexpected error %v", workers, i, errs[i])
+			for i := range out {
+				if got := visits[i].Load(); got != int32(call) {
+					t.Fatalf("workers=%d: after call %d cell %d visited %d times", workers, call, i, got)
+				}
+				if i == 7 || i == 12 {
+					if errs[i] == nil {
+						t.Errorf("workers=%d: slot %d lost its error", workers, i)
+					}
+					continue
+				}
+				if errs[i] != nil {
+					t.Errorf("workers=%d: slot %d unexpected error %v", workers, i, errs[i])
+				}
+				if out[i] != i*i {
+					t.Errorf("workers=%d: slot %d = %d, want %d", workers, i, out[i], i*i)
+				}
 			}
-			if out[i] != i*i {
-				t.Errorf("workers=%d: slot %d = %d, want %d", workers, i, out[i], i*i)
+			if err := engine.FirstError(errs); err == nil {
+				t.Errorf("workers=%d: FirstError missed the failures", workers)
 			}
-		}
-		if err := engine.FirstError(errs); err == nil {
-			t.Errorf("workers=%d: FirstError missed the failures", workers)
 		}
 	}
 }
 
-// A single-worker pool must execute cells in input order on the calling
-// goroutine — the property that makes workers=1 byte-identical to the
-// legacy serial loop.
+// A single-worker pool, and a nil pool, must execute cells in input
+// order on the calling goroutine — the property that makes workers=1
+// byte-identical to the legacy serial loop.
 func TestMapSerialExecutionOrder(t *testing.T) {
-	p := engine.NewPool(1)
-	var seen []int
-	_, errs := engine.Map(p, 10, func(i int) (struct{}, error) {
-		seen = append(seen, i) // no lock: must run on one goroutine
-		return struct{}{}, nil
-	})
-	if err := engine.FirstError(errs); err != nil {
-		t.Fatal(err)
+	for _, p := range []*engine.Pool{engine.NewPool(1), nil} {
+		var seen []int
+		_, errs := engine.Map(p, 10, func(i int) (struct{}, error) {
+			seen = append(seen, i) // no lock: must run on one goroutine
+			return struct{}{}, nil
+		})
+		if err := engine.FirstError(errs); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != 10 {
+			t.Fatalf("pool %v visited %d cells, want 10", p, len(seen))
+		}
+		for i, v := range seen {
+			if v != i {
+				t.Fatalf("serial pool %v ran out of order: %v", p, seen)
+			}
+		}
 	}
-	for i, v := range seen {
-		if v != i {
-			t.Fatalf("serial pool ran out of order: %v", seen)
+}
+
+// Repeated Map calls over the same cells must leave identical per-cell
+// state at any worker count: each call is a full barrier and each cell
+// touches only its own slot, so the serial pool is the reference. This
+// is the discipline internal/fleet relies on when it steps replicas
+// once per epoch.
+func TestMapRepeatedCallsMatchSerialAtAnyWorkerCount(t *testing.T) {
+	const cells, calls = 13, 200
+	run := func(p *engine.Pool) []int64 {
+		state := make([]int64, cells)
+		for c := 0; c < calls; c++ {
+			call := int64(c)
+			engine.Map(p, cells, func(i int) (struct{}, error) {
+				// A cell-local recurrence that is order-sensitive across
+				// calls but touches only cell i.
+				state[i] = state[i]*31 + int64(i) + call
+				return struct{}{}, nil
+			})
+		}
+		return state
+	}
+	want := run(nil)
+	for _, workers := range []int{2, 3, 8, 32} {
+		got := run(engine.NewPool(workers))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d cell %d: state %d != serial %d", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// Every index must be visited exactly once per Map call, and a call's
+// plain (non-atomic) writes must all be visible when Map returns.
+func TestMapVisitsEachIndexOncePerCall(t *testing.T) {
+	const cells = 7
+	p := engine.NewPool(4)
+	counts := make([]int, cells)
+	for c := 0; c < 50; c++ {
+		engine.Map(p, cells, func(i int) (struct{}, error) {
+			counts[i]++
+			return struct{}{}, nil
+		})
+		for i, n := range counts {
+			if n != c+1 {
+				t.Fatalf("after call %d cell %d visited %d times", c, i, n)
+			}
+		}
+	}
+}
+
+// A nil pool has one worker, a non-positive request selects GOMAXPROCS,
+// and a pool with more workers than cells still runs each cell once.
+func TestMapWorkerCap(t *testing.T) {
+	var nilPool *engine.Pool
+	if got := nilPool.Workers(); got != 1 {
+		t.Errorf("nil-pool workers = %d, want 1", got)
+	}
+	if got, want := engine.NewPool(0).Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("NewPool(0) workers = %d, want GOMAXPROCS %d", got, want)
+	}
+	for _, p := range []*engine.Pool{engine.NewPool(16), engine.NewPool(1), nil} {
+		visited := make([]int, 3)
+		engine.Map(p, len(visited), func(i int) (struct{}, error) {
+			visited[i]++
+			return struct{}{}, nil
+		})
+		for i, n := range visited {
+			if n != 1 {
+				t.Errorf("workers=%d: cell %d visited %d times, want 1", p.Workers(), i, n)
+			}
 		}
 	}
 }

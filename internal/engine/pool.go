@@ -32,8 +32,13 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers reports the pool's concurrency.
-func (p *Pool) Workers() int { return p.workers }
+// Workers reports the pool's concurrency; a nil pool has one worker.
+func (p *Pool) Workers() int {
+	if p == nil {
+		return 1
+	}
+	return p.workers
+}
 
 // Map evaluates f(0..n-1) on the pool and returns results and errors
 // indexed by input position — a sorted merge of the shard outputs, so
@@ -41,15 +46,15 @@ func (p *Pool) Workers() int { return p.workers }
 // cell leaves its result slot zero and records its error; other cells
 // are unaffected.
 //
-// With one worker the cells run in index order on the calling
-// goroutine, reproducing the serial pipeline exactly.
+// With one worker (or a nil pool) the cells run in index order on the
+// calling goroutine, reproducing the serial pipeline exactly.
 func Map[R any](p *Pool, n int, f func(i int) (R, error)) ([]R, []error) {
 	results := make([]R, n)
 	errs := make([]error, n)
 	if n == 0 {
 		return results, errs
 	}
-	workers := p.workers
+	workers := p.Workers()
 	if workers > n {
 		workers = n
 	}

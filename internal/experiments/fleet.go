@@ -221,12 +221,12 @@ func PrintFleetScale(w io.Writer, eng *engine.Engine, seed uint64, scale int64) 
 	if err := serial.Conservation(); err != nil {
 		return fmt.Errorf("fleet scale: %w", err)
 	}
-	// The identity is about shard count, not physical cores: on a
+	// The identity is about worker count, not physical cores: on a
 	// single-core host the engine pool degenerates to one worker, so
-	// force a multi-worker pool to keep the sharded replica phase
-	// genuinely different from the serial discipline.
+	// force a multi-worker pool to keep the per-epoch engine.Map over
+	// the replicas genuinely different from the serial loop.
 	pool := eng.Pool
-	if pool == nil || pool.Workers() <= 1 {
+	if pool.Workers() <= 1 {
 		pool = engine.NewPool(4)
 	}
 	parallel := fleet.Run(cfg, pool)

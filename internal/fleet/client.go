@@ -3,7 +3,6 @@ package fleet
 import (
 	"container/heap"
 	"math"
-	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -143,8 +142,8 @@ func newClients(c Config) *clients {
 	return cl
 }
 
-// arrivals generates every fresh request arriving in [t0, t1), merged
-// across tenants in (arrival, id) order.
+// arrivals generates every fresh request arriving in [t0, t1), grouped
+// by tenant; serialPhase sorts them with the epoch's retries and hedges.
 func (cl *clients) arrivals(t0, t1 int64) []attempt {
 	var out []attempt
 	for i := 0; i < cl.cfg.Tenants; i++ {
@@ -164,12 +163,6 @@ func (cl *clients) arrivals(t0, t1 int64) []attempt {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].arrival != out[j].arrival {
-			return out[i].arrival < out[j].arrival
-		}
-		return out[i].id < out[j].id
-	})
 	return out
 }
 

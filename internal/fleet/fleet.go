@@ -23,17 +23,19 @@
 //
 // Execution is bulk-synchronous: virtual time advances in fixed
 // epochs; serial barrier phases (arrival generation, routing, health
-// checks, outcome delivery) alternate with parallel per-replica steps
-// that touch only replica-owned state, sharded across an
-// engine.ShardRunner. Replica state is statically owned and every
-// random stream is consumed either serially or by its owning replica,
-// so reports are byte-identical at any worker count and workers=1
-// degenerates to the plain serial loop.
+// checks, outcome delivery) alternate with per-replica steps that
+// touch only replica-owned state, run once per epoch through
+// engine.Map (the same primitive as every sweep; its return is the
+// barrier). Every random stream is consumed either serially or by its
+// owning replica, and outcomes are collected in replica-index order,
+// so reports are byte-identical at any worker count and a nil or
+// 1-worker pool is the plain serial loop.
 package fleet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/faults"
@@ -334,18 +336,19 @@ func (r *Result) Fingerprint() uint64 {
 // InFlightEnd. Zone outage schedules are drawn out to the same bound.
 func (c Config) drainEnd() int64 { return c.HorizonCycles + 16*c.DeadlineCycles }
 
-// Run executes one fleet soak on the pool's workers. A nil pool runs
-// serially.
+// Run executes one fleet soak, stepping the replicas of each epoch on
+// the pool's workers with engine.Map. A nil pool runs serially.
 func Run(cfg Config, pool *engine.Pool) *Result {
 	c := cfg.withDefaults()
 	f := newFleetState(c)
-	runner := engine.NewShardRunner(pool, c.Replicas)
-	defer runner.Close()
 
 	drainEnd := c.drainEnd()
 	for t := int64(0); t < drainEnd; t += EpochCycles {
 		f.serialPhase(t)
-		runner.Step(func(i int) { f.replicas[i].step(t, t+EpochCycles) })
+		engine.Map(pool, c.Replicas, func(i int) (struct{}, error) {
+			f.replicas[i].step(t, t+EpochCycles)
+			return struct{}{}, nil
+		})
 		f.collect(t + EpochCycles)
 		if t >= c.HorizonCycles && f.outstanding == 0 {
 			break
@@ -445,11 +448,9 @@ func (f *fleetState) serialPhase(t int64) {
 	}
 	due = append(due, f.cl.dueRetries(t+EpochCycles)...)
 	due = append(due, f.cl.dueHedges(t, f.hedgeDelay())...)
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].arrival != due[j].arrival {
-			return due[i].arrival < due[j].arrival
-		}
-		return due[i].id < due[j].id
+	// Attempt ids are unique, so (arrival, id) is a total order.
+	slices.SortFunc(due, func(a, b attempt) int {
+		return cmp.Or(cmp.Compare(a.arrival, b.arrival), cmp.Compare(a.id, b.id))
 	})
 	for i := range due {
 		f.route(&due[i])

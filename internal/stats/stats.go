@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -16,7 +17,7 @@ func Percentile(xs []int64, p float64) int64 {
 		panic("stats: percentile of empty slice")
 	}
 	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	return percentileSorted(s, p)
 }
 
@@ -110,7 +111,7 @@ func Summarize(xs []int64) Summary {
 		return Summary{}
 	}
 	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	return Summary{
 		N:       len(s),
 		Min:     s[0],

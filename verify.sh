@@ -102,4 +102,10 @@ go run ./cmd/ciexp -quick -trace "$trace_tmp" -metrics fig10 > /dev/null
 go run ./cmd/ciexp tracecheck "$trace_tmp"
 rm -f "$trace_tmp"
 
+echo "== loc =="
+# Informational, never fails the gate: non-test Go lines of the root
+# module, excluding the perfbench/ benchmark module — the count the
+# roadmap tracks.
+git ls-files '*.go' | grep -v _test.go | grep -v ^perfbench/ | xargs cat | wc -l || true
+
 echo "verify: OK"
