@@ -21,6 +21,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/ffwd"
+	"repro/internal/fleet"
 	"repro/internal/ir"
 	"repro/internal/mtcp"
 	"repro/internal/shenango"
@@ -387,6 +388,31 @@ func BenchmarkCompiledSteps(b *testing.B) {
 		b.ReportMetric(ts.InterpStepsPerSec/1e6, "interp-M-steps/s")
 		b.ReportMetric(ts.CompiledStepsPerSec/1e6, "compiled-M-steps/s")
 		b.ReportMetric(ts.Speedup, "speedup-x")
+	}
+}
+
+// BenchmarkFleetScale times the 64-replica, 4-zone migrating scale
+// soak (FleetScaleConfig at seed 1, scale 1) serially and with the
+// replicas of each epoch stepped on a 2-worker pool. Reports requests
+// injected per host millisecond; -benchmem shows the per-run
+// allocation the serial barrier costs.
+func BenchmarkFleetScale(b *testing.B) {
+	cfg := experiments.FleetScaleConfig(1, 1)
+	for _, bc := range []struct {
+		name string
+		pool *engine.Pool
+	}{
+		{"serial", nil},
+		{"workers=2", engine.NewPool(2)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var injected int64
+			for i := 0; i < b.N; i++ {
+				injected += fleet.Run(cfg, bc.pool).Injected
+			}
+			b.ReportMetric(float64(injected)/b.Elapsed().Seconds()/1e3, "req/ms")
+		})
 	}
 }
 

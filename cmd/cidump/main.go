@@ -52,8 +52,12 @@ import (
 	"repro/internal/sanitize"
 )
 
+// cf is the tool's flag set; package-level so that fail, too, leaves
+// through cf.Exit and stops the profiles.
+var cf *cliflags.Flags
+
 func main() {
-	cf := cliflags.New(flag.CommandLine).AddDesign().AddCompile().AddSanitize().AddTier().AddInterleave().AddSeed().AddFleet()
+	cf = cliflags.New(flag.CommandLine).AddProfile().AddDesign().AddCompile().AddSanitize().AddTier().AddInterleave().AddSeed().AddFleet()
 	spacing := flag.Bool("spacing", false, "also run the probe-spacing checker on instrumented functions")
 	hot := flag.Bool("hot", false, "compile, run once and print the hottest probe sites instead of the analysis dump")
 	hotN := flag.Int("hot-n", 20, "number of probe sites to print with -hot (0 = all)")
@@ -62,6 +66,11 @@ func main() {
 	fleetPlan := flag.Bool("fleet", false, "print the seeded fleet crash-plan schedule instead of an analysis dump")
 	fleetHorizon := flag.Int64("fleet-horizon", 26_000_000, "-fleet: schedule window in cycles")
 	flag.Parse()
+	if err := cf.StartProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "cidump: %v\n", err)
+		os.Exit(1)
+	}
+	defer cf.StopProfiles()
 	if *fleetPlan {
 		experiments.PrintFleetPlan(os.Stdout, cf.Seed, cf.Replicas, cf.Zones, *fleetHorizon, cf.Migrate)
 		return
@@ -69,7 +78,7 @@ func main() {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: cidump [flags] program.ir")
 		flag.PrintDefaults()
-		os.Exit(2)
+		cf.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -169,7 +178,7 @@ func runInterleave(cf *cliflags.Flags, m *ir.Module, entry string, interval int6
 		fail("%v", err)
 	}
 	if rep.Err() != nil {
-		os.Exit(1)
+		cf.Exit(1)
 	}
 }
 
@@ -193,7 +202,7 @@ func runSanitize(m *ir.Module, probeInterval, allowable int64) {
 		}
 	}
 	if failed {
-		os.Exit(1)
+		cf.Exit(1)
 	}
 }
 
@@ -271,5 +280,5 @@ func indent(s string) string {
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "cidump: "+format+"\n", args...)
-	os.Exit(1)
+	cf.Exit(1)
 }

@@ -98,7 +98,7 @@ import (
 )
 
 func main() {
-	cf := cliflags.New(flag.CommandLine).AddScale().AddSeed().AddEngine().AddObs().AddSLO().AddBound().AddFleet().AddQuantum()
+	cf := cliflags.New(flag.CommandLine).AddProfile().AddScale().AddSeed().AddEngine().AddObs().AddSLO().AddBound().AddFleet().AddQuantum()
 	quick := flag.Bool("quick", false, "use a workload subset where supported")
 	all := flag.Bool("all", false, "fig9/fig11: include Naive-Cycles and CnB-Cycles")
 	flag.Usage = func() {
@@ -107,19 +107,24 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if err := cf.StartProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "ciexp: %v\n", err)
+		os.Exit(1)
+	}
+	defer cf.StopProfiles()
 	if flag.NArg() < 1 {
 		flag.Usage()
-		os.Exit(2)
+		cf.Exit(2)
 	}
 	cmd := flag.Arg(0)
 	if cmd == "tracecheck" {
 		if flag.NArg() != 2 {
 			flag.Usage()
-			os.Exit(2)
+			cf.Exit(2)
 		}
 		if err := tracecheck(flag.Arg(1)); err != nil {
 			fmt.Fprintln(os.Stderr, "ciexp: tracecheck:", err)
-			os.Exit(1)
+			cf.Exit(1)
 		}
 		fmt.Printf("tracecheck: %s OK\n", flag.Arg(1))
 		return
@@ -128,7 +133,7 @@ func main() {
 	eng, err := cf.Engine()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ciexp:", err)
-		os.Exit(1)
+		cf.Exit(1)
 	}
 	scope := cf.Scope()
 	scale := cf.Scale
@@ -203,7 +208,7 @@ func main() {
 	}
 	if !ran {
 		flag.Usage()
-		os.Exit(2)
+		cf.Exit(2)
 	}
 	if eng.Store != nil {
 		hits, misses := eng.Store.Skipped()
@@ -218,7 +223,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ciexp:", err)
-		os.Exit(1)
+		cf.Exit(1)
 	}
 }
 

@@ -38,8 +38,12 @@ import (
 	"repro/internal/vm"
 )
 
+// cf is the tool's flag set; package-level so that fail, too, leaves
+// through cf.Exit and stops the profiles.
+var cf *cliflags.Flags
+
 func main() {
-	cf := cliflags.New(flag.CommandLine).AddDesign().AddCompile().AddQuantum().AddSanitize().AddTier().AddObs().AddSLO().AddInterleave()
+	cf = cliflags.New(flag.CommandLine).AddProfile().AddDesign().AddCompile().AddQuantum().AddSanitize().AddTier().AddObs().AddSLO().AddInterleave()
 	interval := flag.Int64("interval", 5000, "CI interval in cycles (0 disables the handler)")
 	entry := flag.String("entry", "main", "entry function")
 	argsFlag := flag.String("args", "", "comma-separated int64 arguments for the entry function")
@@ -50,10 +54,15 @@ func main() {
 	costs := flag.Bool("costs", false, "print the exported cost file (§2.6) and exit")
 	timeline := flag.Int("timeline", 0, "record and print the last N interrupt-timeline events")
 	flag.Parse()
+	if err := cf.StartProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "cirun: %v\n", err)
+		os.Exit(1)
+	}
+	defer cf.StopProfiles()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: cirun [flags] program.ir")
 		flag.PrintDefaults()
-		os.Exit(2)
+		cf.Exit(2)
 	}
 	d, err := cf.ParseDesign()
 	if err != nil {
@@ -99,7 +108,7 @@ func main() {
 			fail("%v", err)
 		}
 		if rep.Err() != nil {
-			os.Exit(1)
+			cf.Exit(1)
 		}
 		return
 	}
@@ -198,7 +207,7 @@ func main() {
 	}
 	finish(cf)
 	if sloViolated {
-		os.Exit(1)
+		cf.Exit(1)
 	}
 }
 
@@ -210,5 +219,5 @@ func finish(cf *cliflags.Flags) {
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "cirun: "+format+"\n", args...)
-	os.Exit(1)
+	cf.Exit(1)
 }

@@ -4,7 +4,9 @@
 // has one registration helper, one default and one parser, so the
 // tools stay in lockstep. The package also owns the CLI ends of the
 // observability layer: -trace FILE and -metrics build one obs.Scope,
-// and Finish writes the trace file / metrics report after the run.
+// and Finish writes the trace file / metrics report after the run;
+// -cpuprofile and -memprofile write host-time and heap profiles for
+// go tool pprof.
 package cliflags
 
 import (
@@ -12,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,6 +85,10 @@ type Flags struct {
 	TracePath string
 	Metrics   bool
 
+	// AddProfile
+	CPUProfile string
+	MemProfile string
+
 	// AddSLO
 	SLOP999Us    float64
 	SLOMaxUs     float64
@@ -102,6 +110,8 @@ type Flags struct {
 
 	scope    *obs.Scope
 	scopeSet bool
+
+	cpuOut, memOut *os.File
 }
 
 // New binds a Flags to a FlagSet (flag.CommandLine in the tools).
@@ -203,6 +213,70 @@ func (f *Flags) AddObs() *Flags {
 	f.fs.StringVar(&f.TracePath, "trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)")
 	f.fs.BoolVar(&f.Metrics, "metrics", false, "print counters and histogram quantiles (p50/p90/p99) after the run")
 	return f
+}
+
+// AddProfile registers the host-profiling flags -cpuprofile and
+// -memprofile.
+func (f *Flags) AddProfile() *Flags {
+	f.fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to `file` (go tool pprof)")
+	f.fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to `file` at exit (go tool pprof; -sample_index=alloc_space for all allocations)")
+	return f
+}
+
+// StartProfiles creates the -cpuprofile and -memprofile files and
+// starts CPU profiling. Both files are created before the run, so a
+// bad path fails at once rather than after the work is done.
+func (f *Flags) StartProfiles() error {
+	if f.CPUProfile != "" {
+		w, err := os.Create(f.CPUProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(w); err != nil {
+			w.Close()
+			return err
+		}
+		f.cpuOut = w
+	}
+	if f.MemProfile != "" {
+		w, err := os.Create(f.MemProfile)
+		if err != nil {
+			f.StopProfiles()
+			return err
+		}
+		f.memOut = w
+	}
+	return nil
+}
+
+// StopProfiles ends CPU profiling and writes the heap profile after a
+// GC, reporting any write error on stderr. Calling it again, or
+// without StartProfiles, does nothing. The tools defer it in main and
+// leave through Exit, since os.Exit skips deferred calls.
+func (f *Flags) StopProfiles() {
+	report := func(err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "profile:", err)
+		}
+	}
+	if f.cpuOut != nil {
+		pprof.StopCPUProfile()
+		report(f.cpuOut.Close())
+		f.cpuOut = nil
+	}
+	if f.memOut != nil {
+		runtime.GC()
+		report(pprof.WriteHeapProfile(f.memOut))
+		report(f.memOut.Close())
+		f.memOut = nil
+	}
+}
+
+// Exit stops the profiles and exits with code: os.Exit for a tool
+// that may be profiling.
+func (f *Flags) Exit(code int) {
+	f.StopProfiles()
+	os.Exit(code)
 }
 
 // AddSLO registers the overload-plane guard flags -slo-p999us,

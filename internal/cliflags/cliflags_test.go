@@ -2,6 +2,8 @@ package cliflags
 
 import (
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -212,5 +214,44 @@ func TestParseArgs(t *testing.T) {
 	}
 	if _, err := ParseArgs("1,x"); err == nil {
 		t.Error("ParseArgs accepted a non-integer")
+	}
+}
+
+// -cpuprofile and -memprofile write gzip-framed pprof profiles once the
+// profiles stop; stopping twice is harmless, unset flags write nothing,
+// and an unwritable path fails before any work runs.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	f := newFlags(t, (*Flags).AddProfile, "-cpuprofile", cpu, "-memprofile", mem)
+	if err := f.StartProfiles(); err != nil {
+		t.Fatal(err)
+	}
+	sink := 0
+	for i := 0; i < 1_000_000; i++ {
+		sink += i % 7
+	}
+	_ = sink
+	f.StopProfiles()
+	f.StopProfiles()
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Errorf("%s: not a gzip-framed pprof profile (%d bytes)", path, len(data))
+		}
+	}
+
+	none := newFlags(t, (*Flags).AddProfile)
+	if err := none.StartProfiles(); err != nil {
+		t.Fatalf("no profile flags: %v", err)
+	}
+	none.StopProfiles()
+
+	bad := newFlags(t, (*Flags).AddProfile, "-memprofile", filepath.Join(dir, "missing", "mem.prof"))
+	if err := bad.StartProfiles(); err == nil {
+		t.Fatal("unwritable -memprofile path accepted")
 	}
 }

@@ -16,6 +16,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool is a bounded worker pool for sweep cells.
@@ -64,21 +65,25 @@ func Map[R any](p *Pool, n int, f func(i int) (R, error)) ([]R, []error) {
 		}
 		return results, errs
 	}
+	// Workers claim cells in index order from a shared counter; the
+	// calling goroutine is one of them. Claiming costs one atomic add,
+	// not a channel handoff, which matters when cells are as small as
+	// one fleet replica's epoch step.
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			results[i], errs[i] = f(i)
+		}
+	}
 	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				results[i], errs[i] = f(i)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
+	work()
 	wg.Wait()
 	return results, errs
 }

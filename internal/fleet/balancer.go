@@ -51,9 +51,15 @@ type balancer struct {
 	// migration barrier; the serial phase drains their queues.
 	drainPending []bool
 
-	// pick scratch, reused across calls to keep the serial phase
-	// allocation-light.
-	routable, zHealthy, zFailing []int
+	// routable lists the non-Open backends in index order. It changes
+	// only when a breaker enters or leaves Open, so the state-change
+	// hook marks it stale and pick rebuilds it on next use.
+	routable      []int
+	routableStale bool
+
+	// pick scratch, reused across calls so the serial phase does not
+	// allocate.
+	order, zHealthy, zFailing []int
 
 	rrNext     int
 	nextHealth int64
@@ -65,8 +71,9 @@ type balancer struct {
 
 func newBalancer(c Config) *balancer {
 	b := &balancer{
-		cfg: c,
-		rng: sim.NewRNG(c.Seed ^ 0x6c62), // "lb"
+		cfg:           c,
+		rng:           sim.NewRNG(c.Seed ^ 0x6c62), // "lb"
+		routableStale: true,
 	}
 	b.bk = make([]backend, c.Replicas)
 	b.zoneOf = make([]int, c.Replicas)
@@ -91,6 +98,9 @@ func newBalancer(c Config) *balancer {
 				HalfOpenProbes:   4,
 			},
 			OnStateChange: func(from, to overload.State, now int64) {
+				if from == overload.Open || to == overload.Open {
+					b.routableStale = true
+				}
 				if to == overload.Open {
 					b.bk[i].ejections++
 					b.zoneOpen[b.zoneOf[i]]++
@@ -188,13 +198,27 @@ func (b *balancer) usable(i int, now int64) bool {
 	return true
 }
 
+// routableBackends returns the non-Open backends in index order.
+func (b *balancer) routableBackends() []int {
+	if b.routableStale {
+		b.routable = b.routable[:0]
+		for k := range b.bk {
+			if b.bk[k].hc.BreakerState() != overload.Open {
+				b.routable = append(b.routable, k)
+			}
+		}
+		b.routableStale = false
+	}
+	return b.routable
+}
+
 // pick chooses a replica for one attempt under the configured policy.
 // The policy ranks candidates; the first usable one (healthy, or
 // half-open with a probe slot left) wins. Returns false when no
 // backend can take the attempt.
-func (b *balancer) pick(f *fleetState, a *attempt) (int, bool) {
+func (b *balancer) pick(a *attempt) (int, bool) {
 	n := len(b.bk)
-	order := make([]int, 0, n)
+	order := b.order[:0]
 	switch b.cfg.Policy {
 	case RoundRobin:
 		for k := 0; k < n; k++ {
@@ -205,7 +229,10 @@ func (b *balancer) pick(f *fleetState, a *attempt) (int, bool) {
 		for k := 0; k < n; k++ {
 			order = append(order, k)
 		}
-		// stable selection sort by outstanding (n is small)
+		// Selection sort by outstanding. It is not stable: the swap can
+		// carry an earlier index past an equal one ([1,1,0] ranks as
+		// 2,1,0), and that order is part of the model's output. It costs
+		// O(n²) per pick.
 		for i := 0; i < len(order); i++ {
 			best := i
 			for j := i + 1; j < len(order); j++ {
@@ -222,13 +249,7 @@ func (b *balancer) pick(f *fleetState, a *attempt) (int, bool) {
 		// rejection loop and no draw is ever spent on an ejected
 		// backend. Ejection windows therefore never shift the seeded
 		// stream's alignment and cross-policy runs stay comparable.
-		routable := b.routable[:0]
-		for k := 0; k < n; k++ {
-			if b.bk[k].hc.BreakerState() != overload.Open {
-				routable = append(routable, k)
-			}
-		}
-		b.routable = routable
+		routable := b.routableBackends()
 		if m := len(routable); m >= 2 {
 			ii := int(b.rng.Intn(int64(m)))
 			jj := int(b.rng.Intn(int64(m - 1)))
@@ -249,6 +270,16 @@ func (b *balancer) pick(f *fleetState, a *attempt) (int, bool) {
 			if di > remaining && dj <= remaining {
 				first, second = second, first
 			}
+			// The common case needs no ranking: a Closed first choice
+			// outside any failing zone would lead the zone-partitioned
+			// order and is usable without side effects. Only Closed may
+			// skip the walk: usable() on a HalfOpen backend spends one of
+			// its probe slots, so it must run exactly where the full walk
+			// would run it.
+			if first != int(a.exclude) && b.bk[first].hc.BreakerState() == overload.Closed &&
+				(b.cfg.Zones <= 1 || !b.zoneDown(b.zoneOf[first])) {
+				return first, true
+			}
 			order = append(order, first, second)
 			for _, k := range routable {
 				if k != i && k != j {
@@ -262,8 +293,9 @@ func (b *balancer) pick(f *fleetState, a *attempt) (int, bool) {
 	if b.cfg.Zones > 1 {
 		order = b.preferSurvivingZones(order)
 	}
+	b.order = order
 	for _, i := range order {
-		if i == a.exclude && len(order) > 1 {
+		if i == int(a.exclude) && len(order) > 1 {
 			continue
 		}
 		if b.usable(i, a.arrival) {

@@ -1,8 +1,9 @@
 package fleet
 
 import (
-	"container/heap"
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -17,10 +18,12 @@ const (
 	paretoAlpha = 1.5
 )
 
+// paretoRatio is (xm/H)^alpha, the bounded Pareto's truncation term.
+var paretoRatio = math.Pow(paretoXm/paretoH, paretoAlpha)
+
 func paretoDemand(rng *sim.RNG) int64 {
 	u := rng.Float64()
-	ratio := math.Pow(paretoXm/paretoH, paretoAlpha)
-	x := paretoXm / math.Pow(1-u*(1-ratio), 1/paretoAlpha)
+	x := paretoXm / math.Pow(1-u*(1-paretoRatio), 1/paretoAlpha)
 	return int64(x)
 }
 
@@ -28,57 +31,63 @@ func paretoDemand(rng *sim.RNG) int64 {
 // retry with a small deterministic jitter.
 const retryBackoffBase = 130_000
 
-// outAtt is one in-flight attempt of a request.
-type outAtt struct {
-	id      int64
-	replica int
-}
+// maxOut bounds a request's attempts in flight. A request has at most
+// two live attempts at once, its first send and its single hedge: a
+// retry is scheduled only when a failed attempt settles, so it takes
+// that attempt's place.
+const maxOut = 2
 
-// request is one client request's settlement state.
+// request is one client request's settlement state, held by value in
+// the clients' slab and packed into one 64-byte cache line. id is 0
+// while the slot is free, so a stale slot reference (a hedge entry
+// outliving its request) never matches.
 type request struct {
+	id      int64
 	arrival int64
-	tenant  int32
 	demand  int64
-	retries int
-	hedged  bool
-	done    bool
-	live    int // attempts in flight or scheduled
-	out     []outAtt
+	// outID/outReplica list the attempts sent and not yet settled,
+	// oldest first; outReplica is -1 until the attempt is routed.
+	outID      [maxOut]int64
+	outReplica [maxOut]int32
+	tenant     int32
+	retries    int32
+	live       int8 // attempts in flight or scheduled
+	nOut       int8
+	hedged     bool
+	done       bool
 }
 
-// scheduled is a future retry in the retry heap.
-type scheduled struct {
-	at  int64
-	att attempt
-}
-
-type retryHeap []scheduled
-
-func (h retryHeap) Len() int { return len(h) }
-func (h retryHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// addOut registers a sent attempt, not yet routed.
+func (rq *request) addOut(attID int64) {
+	if rq.nOut == maxOut {
+		panic("fleet: request has more than two attempts in flight")
 	}
-	return h[i].att.id < h[j].att.id
+	rq.outID[rq.nOut] = attID
+	rq.outReplica[rq.nOut] = -1
+	rq.nOut++
 }
-func (h retryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *retryHeap) Push(x interface{}) { *h = append(*h, x.(scheduled)) }
-func (h *retryHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// removeOut forgets a settled attempt, keeping the others in order.
+func (rq *request) removeOut(attID int64) {
+	for i := int8(0); i < rq.nOut; i++ {
+		if rq.outID[i] == attID {
+			copy(rq.outID[i:rq.nOut], rq.outID[i+1:rq.nOut])
+			copy(rq.outReplica[i:rq.nOut], rq.outReplica[i+1:rq.nOut])
+			rq.nOut--
+			return
+		}
+	}
 }
 
 // hedgeEntry tracks a first attempt awaiting its hedge trigger.
 type hedgeEntry struct {
 	sendTime int64
 	reqID    int64
+	slot     int32
 }
 
 type cancelMsg struct {
-	replica int
+	replica int32
 	attID   int64
 }
 
@@ -99,9 +108,10 @@ type clients struct {
 	mean []float64 // mean inter-arrival per tenant (cycles)
 
 	nextReqID, nextAttID int64
-	reqs                 map[int64]*request
+	reqs                 []request // slab indexed by attempt.slot
+	freeSlots            []int32
 	retryQ               retryHeap
-	hedgeQ               []hedgeEntry
+	hedgeQ               fifo[hedgeEntry]
 	cancels              []cancelMsg
 
 	retryBudget, hedgeBudget float64
@@ -122,7 +132,6 @@ const budgetCap = 1000
 func newClients(c Config) *clients {
 	cl := &clients{
 		cfg:       c,
-		reqs:      make(map[int64]*request),
 		perTenant: make([]tenantAcc, c.Tenants),
 	}
 	// Fair share: LoadFactor × cluster capacity, split evenly; the
@@ -142,10 +151,38 @@ func newClients(c Config) *clients {
 	return cl
 }
 
-// arrivals generates every fresh request arriving in [t0, t1), grouped
-// by tenant; serialPhase sorts them with the epoch's retries and hedges.
-func (cl *clients) arrivals(t0, t1 int64) []attempt {
-	var out []attempt
+// inject registers one fresh request of the tenant arriving at at and
+// returns its first attempt. The request takes a free slab slot, or
+// grows the slab when none is free.
+func (cl *clients) inject(tenant int, at, demand int64) attempt {
+	cl.nextReqID++
+	cl.nextAttID++
+	var slot int32
+	if n := len(cl.freeSlots); n > 0 {
+		slot = cl.freeSlots[n-1]
+		cl.freeSlots = cl.freeSlots[:n-1]
+	} else {
+		slot = int32(len(cl.reqs))
+		cl.reqs = append(cl.reqs, request{})
+	}
+	cl.reqs[slot] = request{id: cl.nextReqID, arrival: at, tenant: int32(tenant), demand: demand}
+	return attempt{
+		id: cl.nextAttID, reqID: cl.nextReqID, slot: slot, tenant: int32(tenant),
+		kind: kindFirst, exclude: -1, arrival: at, reqArrival: at, demand: demand,
+	}
+}
+
+// release frees a finished request's slab slot.
+func (cl *clients) release(slot int32) {
+	cl.reqs[slot] = request{}
+	cl.freeSlots = append(cl.freeSlots, slot)
+}
+
+// arrivals appends every fresh request arriving in [t0, t1) to dst,
+// one run per tenant, and appends each run's end offset to ends. A
+// tenant's arrival times never decrease and its ids increase, so each
+// run is already in (arrival, id) order for the epoch merge.
+func (cl *clients) arrivals(t0, t1 int64, dst []attempt, ends []int) ([]attempt, []int) {
 	for i := 0; i < cl.cfg.Tenants; i++ {
 		for cl.next[i] < t1 {
 			at := cl.next[i]
@@ -153,47 +190,50 @@ func (cl *clients) arrivals(t0, t1 int64) []attempt {
 			if at < t0 {
 				at = t0 // catch-up after a long idle stretch
 			}
-			cl.nextReqID++
-			cl.nextAttID++
-			d := paretoDemand(cl.rngs[i])
-			cl.reqs[cl.nextReqID] = &request{arrival: at, tenant: int32(i), demand: d}
-			out = append(out, attempt{
-				id: cl.nextAttID, reqID: cl.nextReqID, tenant: int32(i),
-				kind: kindFirst, exclude: -1, arrival: at, reqArrival: at, demand: d,
-			})
+			dst = append(dst, cl.inject(i, at, paretoDemand(cl.rngs[i])))
 		}
+		ends = append(ends, len(dst))
 	}
-	return out
+	return dst, ends
 }
 
-// dueRetries pops every scheduled retry due before t1, clamping send
-// times into the current epoch.
-func (cl *clients) dueRetries(t1 int64) []attempt {
-	var out []attempt
-	for len(cl.retryQ) > 0 && cl.retryQ[0].at < t1 {
-		s := heap.Pop(&cl.retryQ).(scheduled)
-		a := s.att
-		if a.arrival < t1-EpochCycles {
-			a.arrival = t1 - EpochCycles
+// dueRetries appends every scheduled retry due before t1 to dst as one
+// run in (arrival, id) order, clamping send times into the current
+// epoch. The heap pops in scheduled-time order; the clamp gives every
+// overdue retry the epoch start as its arrival, so that tied prefix is
+// re-sorted by id.
+func (cl *clients) dueRetries(t1 int64, dst []attempt) []attempt {
+	t0 := t1 - EpochCycles
+	start := len(dst)
+	for len(cl.retryQ) > 0 && cl.retryQ[0].arrival < t1 {
+		a := cl.retryQ.pop()
+		if a.arrival < t0 {
+			a.arrival = t0
 		}
-		out = append(out, a)
+		dst = append(dst, a)
 	}
-	return out
+	tied := start
+	for tied < len(dst) && dst[tied].arrival == t0 {
+		tied++
+	}
+	if tied-start > 1 {
+		slices.SortFunc(dst[start:tied], func(a, b attempt) int { return cmp.Compare(a.id, b.id) })
+	}
+	return dst
 }
 
 // dueHedges walks the hedge FIFO at time t: any first attempt
 // outstanding longer than the hedge delay gets one hedge to a
-// different replica, budget permitting.
-func (cl *clients) dueHedges(t, delay int64) []attempt {
+// different replica, budget permitting. Hedges are appended to dst
+// with arrival t and increasing ids, so they form one ordered run.
+func (cl *clients) dueHedges(t, delay int64, dst []attempt) []attempt {
 	if delay <= 0 {
-		return nil
+		return dst
 	}
-	var out []attempt
-	for len(cl.hedgeQ) > 0 && cl.hedgeQ[0].sendTime+delay <= t {
-		e := cl.hedgeQ[0]
-		cl.hedgeQ = cl.hedgeQ[1:]
-		rq, ok := cl.reqs[e.reqID]
-		if !ok || rq.done || rq.hedged || len(rq.out) == 0 {
+	for cl.hedgeQ.len() > 0 && cl.hedgeQ.front().sendTime+delay <= t {
+		e := cl.hedgeQ.pop()
+		rq := &cl.reqs[e.slot]
+		if rq.id != e.reqID || rq.done || rq.hedged || rq.nOut == 0 {
 			continue
 		}
 		if cl.hedgeBudget < 1 {
@@ -203,24 +243,24 @@ func (cl *clients) dueHedges(t, delay int64) []attempt {
 		cl.hedgeBudget--
 		rq.hedged = true
 		cl.nextAttID++
-		out = append(out, attempt{
-			id: cl.nextAttID, reqID: e.reqID, tenant: rq.tenant,
-			kind: kindHedge, exclude: rq.out[0].replica,
+		dst = append(dst, attempt{
+			id: cl.nextAttID, reqID: e.reqID, slot: e.slot, tenant: rq.tenant,
+			kind: kindHedge, exclude: rq.outReplica[0],
 			arrival: t, reqArrival: rq.arrival, demand: rq.demand,
 		})
 	}
-	return out
+	return dst
 }
 
 // noteAttempt counts one attempt entering the system and registers it
 // with its request.
 func (cl *clients) noteAttempt(a *attempt) {
 	cl.attempts++
-	rq := cl.reqs[a.reqID]
+	rq := &cl.reqs[a.slot]
 	if a.kind != kindRetry {
 		rq.live++ // retries were counted live when scheduled
 	}
-	rq.out = append(rq.out, outAtt{id: a.id, replica: -1})
+	rq.addOut(a.id)
 	switch a.kind {
 	case kindFirst:
 		cl.injected++
@@ -228,7 +268,7 @@ func (cl *clients) noteAttempt(a *attempt) {
 		cl.retryBudget = math.Min(cl.retryBudget+cl.cfg.RetryBudgetFrac, budgetCap)
 		cl.hedgeBudget = math.Min(cl.hedgeBudget+cl.cfg.HedgeBudgetFrac, budgetCap)
 		if cl.cfg.HedgeDelayCycles > 0 {
-			cl.hedgeQ = append(cl.hedgeQ, hedgeEntry{sendTime: a.arrival, reqID: a.reqID})
+			cl.hedgeQ.push(hedgeEntry{sendTime: a.arrival, reqID: a.reqID, slot: a.slot})
 		}
 	case kindRetry:
 		cl.retries++
@@ -239,11 +279,11 @@ func (cl *clients) noteAttempt(a *attempt) {
 
 // bindReplica records where an attempt was routed (for hedge
 // cancellation).
-func (cl *clients) bindReplica(reqID, attID int64, replica int) {
-	rq := cl.reqs[reqID]
-	for i := range rq.out {
-		if rq.out[i].id == attID {
-			rq.out[i].replica = replica
+func (cl *clients) bindReplica(a *attempt, replica int) {
+	rq := &cl.reqs[a.slot]
+	for i, id := range rq.outID[:rq.nOut] {
+		if id == a.id {
+			rq.outReplica[i] = int32(replica)
 			return
 		}
 	}
@@ -252,15 +292,10 @@ func (cl *clients) bindReplica(reqID, attID int64, replica int) {
 // settle applies one terminal attempt outcome. It returns whether the
 // request itself just completed, and the request latency in cycles
 // (-1 for a permanent failure).
-func (cl *clients) settle(o outcome) (doneNow bool, lat int64) {
-	rq := cl.reqs[o.att.reqID]
+func (cl *clients) settle(o *outcome) (doneNow bool, lat int64) {
+	rq := &cl.reqs[o.att.slot]
 	rq.live--
-	for i := range rq.out {
-		if rq.out[i].id == o.att.id {
-			rq.out = append(rq.out[:i], rq.out[i+1:]...)
-			break
-		}
-	}
+	rq.removeOut(o.att.id)
 	lat = -1
 	switch o.status {
 	case stServed:
@@ -284,9 +319,9 @@ func (cl *clients) settle(o outcome) (doneNow bool, lat int64) {
 				cl.hedgeWins++
 			}
 			// First-wins cancellation of the twin attempt.
-			for _, other := range rq.out {
-				if other.replica >= 0 {
-					cl.cancels = append(cl.cancels, cancelMsg{replica: other.replica, attID: other.id})
+			for i, id := range rq.outID[:rq.nOut] {
+				if r := rq.outReplica[i]; r >= 0 {
+					cl.cancels = append(cl.cancels, cancelMsg{replica: r, attID: id})
 				}
 			}
 		}
@@ -302,7 +337,7 @@ func (cl *clients) settle(o outcome) (doneNow bool, lat int64) {
 			cl.attFailed++
 		}
 		if !rq.done {
-			cl.maybeRetry(rq, &o)
+			cl.maybeRetry(rq, o)
 			if rq.live == 0 {
 				rq.done = true
 				doneNow = true
@@ -312,7 +347,7 @@ func (cl *clients) settle(o outcome) (doneNow bool, lat int64) {
 		}
 	}
 	if rq.done && rq.live == 0 {
-		delete(cl.reqs, o.att.reqID)
+		cl.release(o.att.slot)
 	}
 	return doneNow, lat
 }
@@ -322,7 +357,7 @@ func (cl *clients) settle(o outcome) (doneNow bool, lat int64) {
 // misbehaving tenant retries without backoff; everyone else backs off
 // exponentially with deterministic jitter.
 func (cl *clients) maybeRetry(rq *request, o *outcome) {
-	if rq.retries >= cl.cfg.MaxRetries || cl.cfg.RetryBudgetFrac <= 0 {
+	if int(rq.retries) >= cl.cfg.MaxRetries || cl.cfg.RetryBudgetFrac <= 0 {
 		return
 	}
 	if cl.retryBudget < 1 {
@@ -338,12 +373,11 @@ func (cl *clients) maybeRetry(rq *request, o *outcome) {
 	rq.retries++
 	rq.live++ // stays live while the retry waits in the heap
 	cl.nextAttID++
-	a := attempt{
-		id: cl.nextAttID, reqID: o.att.reqID, tenant: rq.tenant,
+	cl.retryQ.push(attempt{
+		id: cl.nextAttID, reqID: o.att.reqID, slot: o.att.slot, tenant: rq.tenant,
 		kind: kindRetry, exclude: o.att.replica,
 		arrival: o.at + backoff, reqArrival: rq.arrival, demand: rq.demand,
-	}
-	heap.Push(&cl.retryQ, scheduled{at: a.arrival, att: a})
+	})
 }
 
 // takeCancel removes a pending cancellation for the attempt, if one
@@ -387,6 +421,10 @@ func (cl *clients) fill(res *Result) {
 	res.HedgeWins = cl.hedgeWins
 	res.RetryDenied = cl.retryDenied
 	res.HedgeDenied = cl.hedgeDenied
+	// Each tenant's latencies are sorted once, in place; the cluster
+	// tails are order statistics over those sorted runs, so no merged
+	// copy of every latency is ever built.
+	runs := make([][]int64, 0, len(cl.perTenant))
 	for i := range cl.perTenant {
 		acc := &cl.perTenant[i]
 		ts := TenantStats{
@@ -395,9 +433,17 @@ func (cl *clients) fill(res *Result) {
 			Misbehaving: acc.misbehaving,
 		}
 		if len(acc.lats) > 0 {
-			ts.P99Us = float64(stats.Percentile(acc.lats, 99)) / CyclesPerUs
-			ts.P999Us = float64(stats.Percentile(acc.lats, 99.9)) / CyclesPerUs
+			slices.Sort(acc.lats)
+			ts.P99Us = float64(stats.PercentileSorted(acc.lats, 99)) / CyclesPerUs
+			ts.P999Us = float64(stats.PercentileSorted(acc.lats, 99.9)) / CyclesPerUs
+			runs = append(runs, acc.lats)
 		}
 		res.PerTenant = append(res.PerTenant, ts)
+	}
+	if len(runs) > 0 {
+		res.P50Us = float64(stats.PercentileRuns(runs, 50)) / CyclesPerUs
+		res.P99Us = float64(stats.PercentileRuns(runs, 99)) / CyclesPerUs
+		res.P999Us = float64(stats.PercentileRuns(runs, 99.9)) / CyclesPerUs
+		res.MaxUs = float64(stats.PercentileRuns(runs, 100)) / CyclesPerUs
 	}
 }

@@ -30,12 +30,18 @@
 // owning replica, and outcomes are collected in replica-index order,
 // so reports are byte-identical at any worker count and a nil or
 // 1-worker pool is the plain serial loop.
+//
+// The serial barrier neither allocates nor sorts in steady state:
+// requests live in a pointer-free slab indexed by each attempt's slot,
+// the balancer ranks candidates in reused scratch and P2C skips the
+// ranking when its first choice is plainly usable, queues are
+// head-indexed FIFOs and a typed heap, each epoch's attempts come from
+// a k-way merge of runs that are already in (arrival, id) order, and
+// latency percentiles come from per-tenant runs sorted once at the end.
 package fleet
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/faults"
@@ -366,7 +372,13 @@ type fleetState struct {
 
 	outstanding int64 // requests injected but not yet terminal
 	latHist     stats.LogHist
-	reqLat      []int64 // completed-request latencies for exact tails
+
+	// Epoch scratch, reused every barrier: the ordered runs of due
+	// attempts and their end offsets, the merged routing batch, and
+	// the merge's run cursors.
+	due, batch []attempt
+	runEnds    []int
+	cursors    []runCursor
 }
 
 func newFleetState(c Config) *fleetState {
@@ -437,25 +449,35 @@ func zoneSchedules(c Config) (crash, gray [][]zoneWindow) {
 
 // serialPhase runs one epoch's barrier work at epoch start t: deliver
 // due retries/hedges, generate fresh arrivals, run health checks, and
-// route every attempt due this epoch into replica inboxes.
+// route every attempt due this epoch into replica inboxes, in
+// (arrival, id) order.
 func (f *fleetState) serialPhase(t int64) {
 	f.lb.healthTick(f, t)
 	f.migrateDrained(t)
-	var due []attempt
-	if t < f.cfg.HorizonCycles {
-		due = f.cl.arrivals(t, t+EpochCycles)
-		f.outstanding += int64(len(due))
-	}
-	due = append(due, f.cl.dueRetries(t+EpochCycles)...)
-	due = append(due, f.cl.dueHedges(t, f.hedgeDelay())...)
-	// Attempt ids are unique, so (arrival, id) is a total order.
-	slices.SortFunc(due, func(a, b attempt) int {
-		return cmp.Or(cmp.Compare(a.arrival, b.arrival), cmp.Compare(a.id, b.id))
-	})
-	for i := range due {
-		f.route(&due[i])
+	batch := f.epochBatch(t)
+	for i := range batch {
+		f.route(&batch[i])
 	}
 	f.cl.flushCancels(f.replicas)
+}
+
+// epochBatch collects every attempt due in the epoch starting at t —
+// fresh arrivals (one run per tenant), due retries and due hedges,
+// each run already in (arrival, id) order — and merges the runs
+// instead of sorting the epoch.
+func (f *fleetState) epochBatch(t int64) []attempt {
+	due, ends := f.due[:0], f.runEnds[:0]
+	if t < f.cfg.HorizonCycles {
+		due, ends = f.cl.arrivals(t, t+EpochCycles, due, ends)
+		f.outstanding += int64(len(due))
+	}
+	due = f.cl.dueRetries(t+EpochCycles, due)
+	ends = append(ends, len(due))
+	due = f.cl.dueHedges(t, f.hedgeDelay(), due)
+	ends = append(ends, len(due))
+	f.due, f.runEnds = due, ends
+	f.batch, f.cursors = mergeRuns(f.batch[:0], due, ends, f.cursors)
+	return f.batch
 }
 
 // migrateDrained is the migration barrier phase: queued-but-unstarted
@@ -475,16 +497,16 @@ func (f *fleetState) migrateDrained(t int64) {
 		if !f.cfg.Migrate {
 			continue
 		}
-		if drain && len(r.q) > 0 {
-			r.migrateOut = append(r.migrateOut, r.q...)
-			r.q = r.q[:0]
+		if drain && r.q.len() > 0 {
+			r.migrateOut = append(r.migrateOut, r.q.items()...)
+			r.q.reset()
 			r.qDemand = 0
 		}
 		for _, a := range r.migrateOut {
 			f.lb.bk[i].outstanding--
 			if f.cl.takeCancel(a.id) {
 				r.cancelledNotStarted++
-				f.deliver(outcome{att: a, at: t, status: stCancelled})
+				f.deliver(&outcome{att: a, at: t, status: stCancelled})
 				continue
 			}
 			r.migratedOut++
@@ -503,17 +525,17 @@ func (f *fleetState) migrateDrained(t int64) {
 // normal retry path.
 func (f *fleetState) rerouteMigrated(a attempt, from int, t int64) {
 	a.arrival = t
-	a.exclude = from
-	r, ok := f.lb.pick(f, &a)
+	a.exclude = int32(from)
+	r, ok := f.lb.pick(&a)
 	if !ok {
 		f.lb.migrationFailed++
-		f.deliver(outcome{att: a, at: t, status: stFailed})
+		f.deliver(&outcome{att: a, at: t, status: stFailed})
 		return
 	}
-	a.replica = r
+	a.replica = int32(r)
 	f.lb.migrated++
 	f.lb.noteRouted(r)
-	f.cl.bindReplica(a.reqID, a.id, r)
+	f.cl.bindReplica(&a, r)
 	f.replicas[r].inbox = append(f.replicas[r].inbox, a)
 }
 
@@ -522,19 +544,19 @@ func (f *fleetState) rerouteMigrated(a attempt, from int, t int64) {
 func (f *fleetState) route(a *attempt) {
 	f.cl.noteAttempt(a)
 	if !f.lb.tenantAdmit(a) {
-		f.deliver(outcome{att: *a, at: a.arrival, status: stRejected})
+		f.deliver(&outcome{att: *a, at: a.arrival, status: stRejected})
 		f.lb.tenantRejected++
 		return
 	}
-	r, ok := f.lb.pick(f, a)
+	r, ok := f.lb.pick(a)
 	if !ok {
 		f.lb.unrouted++
-		f.deliver(outcome{att: *a, at: a.arrival, status: stRejected})
+		f.deliver(&outcome{att: *a, at: a.arrival, status: stRejected})
 		return
 	}
-	a.replica = r
+	a.replica = int32(r)
 	f.lb.noteRouted(r)
-	f.cl.bindReplica(a.reqID, a.id, r)
+	f.cl.bindReplica(a, r)
 	f.replicas[r].inbox = append(f.replicas[r].inbox, *a)
 }
 
@@ -542,8 +564,9 @@ func (f *fleetState) route(a *attempt) {
 // the outcomes to the balancer and the client population.
 func (f *fleetState) collect(now int64) {
 	for _, r := range f.replicas {
-		for _, o := range r.outbox {
-			f.lb.noteOutcome(&o, now)
+		for i := range r.outbox {
+			o := &r.outbox[i]
+			f.lb.noteOutcome(o, now)
 			f.deliver(o)
 		}
 		r.outbox = r.outbox[:0]
@@ -552,13 +575,12 @@ func (f *fleetState) collect(now int64) {
 
 // deliver hands one terminal attempt outcome to the client layer,
 // which settles the request (completion, retry, hedge bookkeeping).
-func (f *fleetState) deliver(o outcome) {
+func (f *fleetState) deliver(o *outcome) {
 	done, lat := f.cl.settle(o)
 	if done {
 		f.outstanding--
 		if lat >= 0 {
 			f.latHist.Add(lat)
-			f.reqLat = append(f.reqLat, lat)
 		}
 	}
 }
@@ -601,14 +623,6 @@ func (f *fleetState) result(c Config) *Result {
 	f.cl.fill(res)
 	f.lb.fill(res)
 	res.InFlightEnd = f.outstanding
-
-	if len(f.reqLat) > 0 {
-		s := stats.Summarize(f.reqLat)
-		res.P50Us = float64(s.P50) / CyclesPerUs
-		res.P99Us = float64(s.P99) / CyclesPerUs
-		res.P999Us = float64(s.P999) / CyclesPerUs
-		res.MaxUs = float64(s.Max) / CyclesPerUs
-	}
 	res.GoodputRPS = float64(res.Served) / (float64(c.HorizonCycles) / 2.6e9)
 	return res
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/overload"
 	"repro/internal/sim"
 )
 
@@ -439,19 +438,10 @@ func TestFleetZonePreference(t *testing.T) {
 // and never a draw for an ejected (Open) backend — so ejection
 // windows cannot shift the seeded stream.
 func TestFleetP2CSamplingStream(t *testing.T) {
-	trip := func(b *balancer, i int) {
-		for k := int64(0); k < 6; k++ {
-			b.bk[i].hc.Observe(k*HealthIntervalCycles, 0, true)
-			b.bk[i].hc.Poll(k*HealthIntervalCycles, 0)
-		}
-		if b.bk[i].hc.BreakerState() != overload.Open {
-			t.Fatalf("backend %d breaker did not open under forced failures", i)
-		}
-	}
 	pickN := func(b *balancer, n int, wantAvoid int) {
 		for k := 0; k < n; k++ {
 			a := attempt{exclude: -1, arrival: int64(k), reqArrival: int64(k)}
-			r, ok := b.pick(nil, &a)
+			r, ok := b.pick(&a)
 			if !ok {
 				t.Fatal("pick found no backend")
 			}
@@ -464,7 +454,7 @@ func TestFleetP2CSamplingStream(t *testing.T) {
 
 	b := newBalancer(cfg)
 	twin := sim.NewRNG(cfg.Seed ^ 0x6c62)
-	trip(b, 0)
+	tripBreaker(t, b, 0)
 	pickN(b, 40, 0) // 3 routable: exactly 2 draws per pick
 	for k := 0; k < 2*40; k++ {
 		twin.Uint64()
@@ -475,9 +465,9 @@ func TestFleetP2CSamplingStream(t *testing.T) {
 
 	b = newBalancer(cfg)
 	twin = sim.NewRNG(cfg.Seed ^ 0x6c62)
-	trip(b, 0)
-	trip(b, 1)
-	trip(b, 2)
+	tripBreaker(t, b, 0)
+	tripBreaker(t, b, 1)
+	tripBreaker(t, b, 2)
 	pickN(b, 40, 0) // 1 routable: no draws at all
 	if got, want := b.rng.Uint64(), twin.Uint64(); got != want {
 		t.Fatalf("single-routable picks consumed RNG draws: next draw %x, want %x", got, want)

@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -18,23 +19,70 @@ func Percentile(xs []int64, p float64) int64 {
 	}
 	s := append([]int64(nil), xs...)
 	slices.Sort(s)
-	return percentileSorted(s, p)
+	return PercentileSorted(s, p)
 }
 
-func percentileSorted(s []int64, p float64) int64 {
+// nearestRank is the 1-based rank of the p-th percentile among n
+// sorted values.
+func nearestRank(n int, p float64) int {
 	if p <= 0 {
-		return s[0]
+		return 1
 	}
 	if p >= 100 {
-		return s[len(s)-1]
+		return n
 	}
 	// The epsilon guards against float artifacts like 99.9/100*1000
 	// evaluating to 999.0000000000001.
-	rank := int(math.Ceil(p/100*float64(len(s)) - 1e-9))
+	rank := int(math.Ceil(p/100*float64(n) - 1e-9))
 	if rank < 1 {
 		rank = 1
 	}
-	return s[rank-1]
+	return rank
+}
+
+// PercentileSorted is Percentile over a slice already in ascending
+// order: no copy, no sort. It panics on an empty slice.
+func PercentileSorted(s []int64, p float64) int64 {
+	if len(s) == 0 {
+		panic("stats: percentile of empty slice")
+	}
+	return s[nearestRank(len(s), p)-1]
+}
+
+// PercentileRuns is Percentile over the concatenation of runs, each in
+// ascending order, computed without merging them: the nearest-rank
+// value is the smallest v with at least rank values <= v, found by
+// bisecting the value range and counting each run by binary search.
+// It panics when the runs hold no values.
+func PercentileRuns(runs [][]int64, p float64) int64 {
+	n := 0
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, r := range runs {
+		if len(r) == 0 {
+			continue
+		}
+		n += len(r)
+		lo = min(lo, r[0])
+		hi = max(hi, r[len(r)-1])
+	}
+	if n == 0 {
+		panic("stats: percentile of empty slice")
+	}
+	rank := nearestRank(n, p)
+	for lo < hi {
+		mid := lo + int64(uint64(hi-lo)/2)
+		atMost := 0
+		for _, r := range runs {
+			k, _ := slices.BinarySearch(r, mid+1) // mid < hi: no overflow
+			atMost += k
+		}
+		if atMost >= rank {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Median returns the 50th percentile.
@@ -116,14 +164,14 @@ func Summarize(xs []int64) Summary {
 		N:       len(s),
 		Min:     s[0],
 		Max:     s[len(s)-1],
-		P1:      percentileSorted(s, 1),
-		P10:     percentileSorted(s, 10),
-		P25:     percentileSorted(s, 25),
-		P50:     percentileSorted(s, 50),
-		P75:     percentileSorted(s, 75),
-		P90:     percentileSorted(s, 90),
-		P99:     percentileSorted(s, 99),
-		P999:    percentileSorted(s, 99.9),
+		P1:      PercentileSorted(s, 1),
+		P10:     PercentileSorted(s, 10),
+		P25:     PercentileSorted(s, 25),
+		P50:     PercentileSorted(s, 50),
+		P75:     PercentileSorted(s, 75),
+		P90:     PercentileSorted(s, 90),
+		P99:     PercentileSorted(s, 99),
+		P999:    PercentileSorted(s, 99.9),
 		MeanVal: Mean(s),
 	}
 }
@@ -164,7 +212,7 @@ func logBucket(v int64) int {
 	if v < logHistSub {
 		return int(v)
 	}
-	b := 63 - bitsLeadingZeros(uint64(v)) // floor(log2 v), >= 5
+	b := 63 - bits.LeadingZeros64(uint64(v)) // floor(log2 v), >= 5
 	return (b-5)*logHistSub + int(v>>uint(b-5))
 }
 
@@ -293,19 +341,7 @@ func (h *Histogram) Add(v int64) {
 		h.Buckets[0]++
 		return
 	}
-	h.Buckets[63-bitsLeadingZeros(uint64(v))]++
-}
-
-func bitsLeadingZeros(x uint64) int {
-	n := 0
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-		if n == 64 {
-			break
-		}
-	}
-	return n
+	h.Buckets[63-bits.LeadingZeros64(uint64(v))]++
 }
 
 // Fraction returns the share of samples in bucket i.

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -125,6 +126,45 @@ func TestQuickPercentileMonotone(t *testing.T) {
 		return s.Min <= s.P50 && s.P50 <= s.P90 && s.P90 <= s.Max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: PercentileSorted and PercentileRuns agree exactly with
+// Percentile over the same values, for runs of any length (empty ones
+// included), negative values and heavy duplication.
+func TestQuickPercentileRunsMatchesPercentile(t *testing.T) {
+	ps := []float64{0, 1, 10, 25, 50, 75, 90, 99, 99.9, 100}
+	f := func(seed int64, k uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		runs := make([][]int64, int(k%9)+1)
+		var all []int64
+		for i := range runs {
+			n := r.Intn(200)
+			if r.Intn(4) == 0 {
+				n = 0
+			}
+			span := int64(1) + r.Int63n(1<<uint(r.Intn(40)))
+			for j := 0; j < n; j++ {
+				runs[i] = append(runs[i], r.Int63n(span)-span/2)
+			}
+			slices.Sort(runs[i])
+			all = append(all, runs[i]...)
+		}
+		if len(all) == 0 {
+			return true
+		}
+		sorted := slices.Clone(all)
+		slices.Sort(sorted)
+		for _, p := range ps {
+			want := Percentile(all, p)
+			if PercentileRuns(runs, p) != want || PercentileSorted(sorted, p) != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
